@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.verb](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"sparsepg: error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
 

@@ -24,7 +24,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if n is not None and v.size != n:
         raise ValueError(f"expected length {n}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, sorting_permutation, support_of
+from .core import as_vector, support_of
 from .sets import SymmetricSet
 
 __all__ = ["SparseProjection", "project_sparse", "certify_unique", "brute_force_project"]
@@ -37,21 +37,36 @@ def _check_sparsity_level(s: int, n: int) -> None:
         raise ValueError(f"sparsity level must satisfy 1 <= s <= n-1, got s={s}, n={n}")
 
 
+def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
+    """Ascending indices of the ``s`` largest values, ties to the lowest indices.
+
+    Equals ``np.sort(sorting_permutation(ranked)[:s])`` at the cost of a
+    partition instead of a full sort.
+    """
+    n = ranked.size
+    threshold = ranked[np.argpartition(ranked, n - s)[n - s]]
+    chosen = ranked > threshold
+    missing = s - int(np.count_nonzero(chosen))
+    if missing:
+        chosen[np.flatnonzero(ranked == threshold)[:missing]] = True
+    return np.flatnonzero(chosen)
+
+
 def project_sparse(
     set_: SymmetricSet, s: int, x, certify_uniqueness: bool = True
 ) -> SparseProjection:
     """Project ``x`` onto {cardinality <= s} intersected with ``set_``.
 
     The chosen support is the first ``s`` indices of the stable non-ascending
-    sort of the ranking values; any sorting permutation yields a valid
-    projection, the stable one makes the choice deterministic.  Pass
-    ``certify_uniqueness=False`` to skip the uniqueness certificate (the flag
-    comes back False); solver inner loops do this.
+    sort of the ranking values (``sorting_permutation``), found by partition;
+    any sorting permutation yields a valid projection, the stable one makes
+    the choice deterministic.  Pass ``certify_uniqueness=False`` to skip the
+    uniqueness certificate (the flag comes back False); solver inner loops do
+    this.
     """
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
-    order = sorting_permutation(set_.ranking_values(x))
-    support = np.sort(order[:s])
+    support = _top_support(set_.ranking_values(x), s)
     point = np.zeros_like(x)
     point[support] = set_.project_sub(x[support])
     proj = SparseProjection(point, support, False)

@@ -218,6 +218,11 @@ def _require_start(set_: SymmetricSet, s: int, x0: np.ndarray) -> None:
         raise ValueError("infeasible start: not in the constraint set")
 
 
+def _require_finite(value: float, k: int, phase: str) -> None:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"objective value {value} at iteration {k}, {phase} phase")
+
+
 def _record(
     k: int,
     kind: str,
@@ -261,7 +266,9 @@ def pg_solve(
     """Constant-stepsize projected gradient: x <- project(x - alpha * grad).
 
     Stops when consecutive objective values differ by at most ``f_tol`` or
-    after ``max_iter`` iterations.
+    after ``max_iter`` iterations.  A non-finite objective value raises
+    ``FloatingPointError`` naming the iteration and the phase (``initial`` or
+    ``step``).
     """
     x = as_vector(x0)
     _require_start(set_, s, x)
@@ -271,10 +278,12 @@ def pg_solve(
     records: list[IterationRecord] = []
     start = time.perf_counter()
     fx, g = obj.value_and_grad(x)
+    _require_finite(fx, 0, "initial")
     f_initial = fx
     for k in range(max_iter):
         y = project_sparse(set_, s, x - alpha * g, certify_uniqueness=False).point
         fy, gy = obj.value_and_grad(y)
+        _require_finite(fy, k, "step")
         records.append(_record(k, "projected_gradient", fy, alpha, y, x, set_))
         done = abs(fy - fx) <= f_tol
         x, fx, g = y, fy, gy
@@ -321,7 +330,9 @@ def npg_solve(
       ``M+1`` values.
 
     Iterates with empty (or full) support skip the first two moves.  Stops on
-    the same consecutive-objective criterion as ``pg_solve``.
+    the same consecutive-objective criterion as ``pg_solve``.  A non-finite
+    objective value raises ``FloatingPointError`` naming the iteration and the
+    phase (``initial``, ``swap``, ``support change`` or ``trial``).
     """
     x = as_vector(x0)
     n = x.size
@@ -333,6 +344,7 @@ def npg_solve(
     records: list[IterationRecord] = []
     start = time.perf_counter()
     fx, g = obj.value_and_grad(x)
+    _require_finite(fx, 0, "initial")
     f_initial = fx
     f_hist = [fx]
     x_prev: np.ndarray | None = None
@@ -349,6 +361,7 @@ def npg_solve(
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
                 f_new = obj.value(y)
+                _require_finite(f_new, k, "swap")
                 rec = _record(k, "swap", f_new, None, y, x, set_)
                 x_new = y
         elif k % config.N == config.q and not degenerate:
@@ -357,10 +370,12 @@ def npg_solve(
                 beta = gap.step
                 xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
                 f_xt = obj.value(xt)
+                _require_finite(f_xt, k, "support change")
                 xt_card = support_of(xt).size
                 if 0 < xt_card < n:
                     xh = change_support(obj, set_, s, xt, beta)
                     f_xh = obj.value(xh)
+                    _require_finite(f_xh, k, "support change")
                     dist_sq = float(np.sum((xh - xt) ** 2))
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
                         rec = _record(
@@ -391,6 +406,7 @@ def npg_solve(
             while True:
                 w = project_sparse(set_, s, x - t_trial * g, certify_uniqueness=False).point
                 fw = obj.value(w)
+                _require_finite(fw, k, "trial")
                 if fw <= f_ref - 0.5 * config.c2 * float(np.sum((w - x) ** 2)):
                     break
                 t_trial *= config.tau_shrink

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsepg import LeastSquares, Logistic, make_rng
+from sparsepg import LeastSquares, Logistic, gen_instance, make_rng
 
 
 def central_diff(obj, x, h_scale=1e-6):
@@ -115,6 +115,61 @@ def test_value_and_grad_consistency():
         v, g = obj.value_and_grad(x)
         assert v == obj.value(x)
         assert np.array_equal(g, obj.grad(x))
+
+
+def dense_value_and_grad(obj, x):
+    """Both objectives straight from their formulas with a dense ``A @ x``."""
+    ax = obj.A @ x
+    if isinstance(obj, LeastSquares):
+        r = ax - obj.b
+        return 0.5 * float(r @ r), obj.A.T @ r
+    z = obj.labels * ax
+    return float(np.sum(np.logaddexp(0.0, -z))), -(obj.A.T @ (obj.labels / (1.0 + np.exp(z))))
+
+
+def seeded_objectives():
+    rng = make_rng(103)
+    a = rng.standard_normal((40, 60))
+    labels = rng.integers(0, 2, size=40) * 2.0 - 1.0
+    return [LeastSquares(a, rng.standard_normal(40)), Logistic(a, labels)], rng
+
+
+@pytest.mark.parametrize("nonzeros", [0, 1, 6, 7, 30, 60])
+def test_support_aware_evaluation_matches_dense_formula(nonzeros):
+    # 6 of 60 nonzeros is the last point evaluated on its support, 7 the first dense one
+    objectives, rng = seeded_objectives()
+    for obj in objectives:
+        for _ in range(5):
+            x = np.zeros(obj.dim)
+            x[rng.choice(obj.dim, size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+            value, grad = obj.value_and_grad(x)
+            want_value, want_grad = dense_value_and_grad(obj, x)
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+            assert value == obj.value(x)
+            assert np.array_equal(grad, obj.grad(x))
+
+
+def test_dense_product_above_a_tenth_nonzeros():
+    # a NaN column off the support shows which product was formed: the
+    # support-column one never reads it, the dense one propagates it
+    a = np.ones((4, 20))
+    a[:, 19] = np.nan
+    for obj in (LeastSquares(a, np.ones(4)), Logistic(a, [1.0, -1.0, 1.0, -1.0])):
+        for nonzeros, dense in [(0, False), (2, False), (3, True), (10, True)]:
+            x = np.zeros(20)
+            x[:nonzeros] = 0.5
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(obj.value(x)) == dense
+                assert np.isnan(obj.value_and_grad(x)[0]) == dense
+                assert np.isnan(obj.grad(x)[0]) == dense
+
+
+def test_logistic_lipschitz_equals_label_scaled_estimate():
+    # flipping row signs is exact, so skipping the scaled copy changes no bit
+    obj = gen_instance("logistic", 100, 200, 2000).objective
+    scaled = LeastSquares(obj.A * obj.labels[:, None], np.zeros(100))
+    assert obj.lipschitz == scaled.lipschitz
 
 
 def test_dimension_mismatch():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsepg import (
     brute_force_project,
@@ -12,6 +13,7 @@ from sparsepg import (
     nonneg_orthant,
     nonneg_simplex,
     project_sparse,
+    sorting_permutation,
     support_of,
 )
 
@@ -141,3 +143,46 @@ def test_feasible_sparse_points_project_to_themselves():
             raw = project_sparse(set_, s, rng.standard_normal(n)).point
             again = project_sparse(set_, s, raw)
             assert np.array_equal(again.point, raw)
+
+
+def stable_sort_support(set_, s, x):
+    """The support a full stable sort of the ranking values picks."""
+    return np.sort(sorting_permutation(set_.ranking_values(x))[:s])
+
+
+# a small pool of values makes heavy ties likely, and mixes 0.0 with -0.0
+tie_prone_entries = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=24))
+    entries = st.one_of(tie_prone_entries, st.floats(-3.0, 3.0, allow_subnormal=False))
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    s = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    set_ = draw(st.sampled_from(ALL_SETS))
+    return set_, s, x
+
+
+@given(selection_cases())
+def test_top_s_selection_matches_stable_sort(case):
+    set_, s, x = case
+    res = project_sparse(set_, s, x, certify_uniqueness=False)
+    assert np.array_equal(res.chosen_support, stable_sort_support(set_, s, x))
+
+
+@pytest.mark.parametrize("set_", [full_space(), nonneg_orthant()], ids=str)
+def test_top_s_selection_all_ties(set_):
+    # every ranking value equal (signed zeros included): the lowest indices win
+    for x in (np.full(7, 1.5), np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0])):
+        for s in (1, 3, 6):
+            res = project_sparse(set_, s, x, certify_uniqueness=False)
+            assert res.chosen_support.tolist() == list(range(s))
+            assert np.array_equal(res.chosen_support, stable_sort_support(set_, s, x))
+
+
+def test_top_s_selection_fills_ties_after_strict_winners():
+    # ranking (sign-free) 3, 1, 2, 1, 2, 1: 3 wins, then the two 2s, then the first 1
+    x = np.array([3.0, -1.0, 2.0, 1.0, -2.0, 1.0])
+    res = project_sparse(full_space(), 4, x, certify_uniqueness=False)
+    assert res.chosen_support.tolist() == [0, 1, 2, 4]

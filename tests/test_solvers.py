@@ -195,3 +195,40 @@ def test_max_backtracks_formula():
     # L=1, c2=1e-4, t_max=1e8, shrink=0.5: floor(log((1+1e-4)*1e8)/log 2 + 2)
     assert max_backtracks(1.0, 1e-4, 1e8, 0.5) == 28
     assert max_backtracks(1e-9, 1e-9, 1.0, 0.5) == 1  # formula floor goes negative
+
+
+class NanAwayFromStart:
+    """A quadratic whose value is NaN everywhere except at ``start``."""
+
+    def __init__(self, center, start):
+        self._inner = quadratic(center)
+        self._start = np.asarray(start, dtype=float)
+        self.dim = self._inner.dim
+        self.lipschitz = self._inner.lipschitz
+
+    def value(self, x):
+        return self._inner.value(x) if np.array_equal(x, self._start) else float("nan")
+
+    def grad(self, x):
+        return self._inner.grad(x)
+
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
+
+def test_pg_fails_fast_on_nan_values():
+    obj = NanAwayFromStart([3.0, 1.0], [0.0, 0.0])
+    with pytest.raises(FloatingPointError, match="iteration 0, step phase"):
+        pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.9)
+    with pytest.raises(FloatingPointError, match="iteration 0, initial phase"):
+        pg_solve(obj, full_space(), 1, np.array([1.0, 0.0]), alpha=0.9)
+
+
+def test_npg_fails_fast_on_nan_values():
+    obj = NanAwayFromStart([3.0, -2.0, 0.5], [0.0, 0.0, 0.0])
+    config = small_config(obj.lipschitz)
+    # a zero start skips the swap, so the first value off the start is a trial
+    with pytest.raises(FloatingPointError, match="iteration 0, trial phase"):
+        npg_solve(obj, full_space(), 2, np.zeros(3), config)
+    with pytest.raises(FloatingPointError, match="iteration 0, initial phase"):
+        npg_solve(obj, full_space(), 2, np.array([1.0, 0.0, 0.0]), config)
