@@ -28,6 +28,7 @@ from .solvers import (
     SolverConfig,
     bb_initial_stepsize,
     benchmark_config,
+    default_stepsize,
     max_backtracks,
     npg_solve,
     pg_solve,
@@ -88,6 +89,7 @@ __all__ = [
     "SolverConfig",
     "bb_initial_stepsize",
     "benchmark_config",
+    "default_stepsize",
     "max_backtracks",
     "npg_solve",
     "pg_solve",

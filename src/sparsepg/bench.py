@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, make_rng, support_of
+from .core import _as_dict, as_vector, make_rng, support_of
 from .objectives import LeastSquares, Logistic
 from .sets import SymmetricSet, full_space, nonneg_simplex, parse_set
-from .solvers import IterateTrace, benchmark_config, npg_solve, pg_solve
+from .solvers import IterateTrace, benchmark_config, default_stepsize, npg_solve, pg_solve
 
 __all__ = [
     "Instance",
@@ -114,15 +114,14 @@ def gen_cs_instance(m: int, n: int, s: int, sigma: float, rng: np.random.Generat
 
 
 def gen_logistic_instance(
-    m: int, n: int, rng: np.random.Generator, s: int | None = None, force_label: int | None = None
+    m: int, n: int, rng: np.random.Generator, s: int | None = None
 ) -> Instance:
     """Balanced two-class logistic data with one mean per class.
 
     Every feature of a positive sample is N(mu, 1) with a single mu drawn
     uniformly from [0, 1]; negative samples use a mean from [-1, 0].  The
     classes overlap, so no sparse separator drives the loss to zero.  The
-    sparsity level defaults to 1% of the dimension.  ``force_label`` overrides
-    every label (test hook for degenerate data).
+    sparsity level defaults to 1% of the dimension.
     """
     if m % 2 != 0:
         raise ValueError("m must be even")
@@ -138,8 +137,6 @@ def gen_logistic_instance(
         ]
     )
     labels = np.concatenate([np.ones(half), -np.ones(half)])
-    if force_label is not None:
-        labels = float(force_label) * np.ones(m)
     return Instance(
         family="logistic",
         m=m,
@@ -205,34 +202,23 @@ def gen_instance(
 
 @dataclass
 class BenchRow:
+    """One (instance, method) result; a failed solve leaves the results None and sets ``error``."""
+
     family: str
     m: int
     n: int
     s: int
     method: str
     seed: int
-    cardinality: int | None
-    objective: float | None
-    time_s: float | None
-    strong_stationary: bool | None
-    violation: float | None
+    cardinality: int | None = None
+    objective: float | None = None
+    time_s: float | None = None
+    strong_stationary: bool | None = None
+    violation: float | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "s": self.s,
-            "method": self.method,
-            "seed": self.seed,
-            "cardinality": self.cardinality,
-            "objective": self.objective,
-            "time_s": self.time_s,
-            "strong_stationary": self.strong_stationary,
-            "violation": self.violation,
-            "error": self.error,
-        }
+        return _as_dict(self)
 
 
 @dataclass
@@ -273,7 +259,7 @@ def solve_instance(inst: Instance, method: str, grid_points: int, tol: float,
             inst.set_,
             inst.s,
             inst.x0,
-            alpha=0.995 / lip,
+            alpha=default_stepsize(lip),
             f_tol=f_tol,
             max_iter=max_iter,
             certify_grid_points=grid_points,
@@ -306,17 +292,14 @@ def run_benchmark(
     rows: list[BenchRow] = []
     for inst in instances:
         for method in methods:
+            key = dict(family=inst.family, m=inst.m, n=inst.n, s=inst.s, method=method,
+                       seed=inst.seed)
             try:
                 trace = solve_instance(inst, method, grid_points, tol, f_tol, max_iter)
                 cert = trace.certificate
                 rows.append(
                     BenchRow(
-                        family=inst.family,
-                        m=inst.m,
-                        n=inst.n,
-                        s=inst.s,
-                        method=method,
-                        seed=inst.seed,
+                        **key,
                         cardinality=int(support_of(trace.x_final).size),
                         objective=trace.f_final,
                         time_s=trace.wall_time_seconds,
@@ -325,22 +308,7 @@ def run_benchmark(
                     )
                 )
             except Exception as exc:  # keep the batch going, surface the error in the row
-                rows.append(
-                    BenchRow(
-                        family=inst.family,
-                        m=inst.m,
-                        n=inst.n,
-                        s=inst.s,
-                        method=method,
-                        seed=inst.seed,
-                        cardinality=None,
-                        objective=None,
-                        time_s=None,
-                        strong_stationary=None,
-                        violation=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                rows.append(BenchRow(**key, error=f"{type(exc).__name__}: {exc}"))
     return BenchReport(rows)
 
 

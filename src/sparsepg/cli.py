@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import bench as bench_mod
+from .solvers import default_stepsize
 from .stationarity import (
     check_coordinatewise,
     check_strong_stationary,
@@ -122,7 +123,7 @@ def _cmd_bench(args) -> int:
 def _cmd_certify(args) -> int:
     inst = bench_mod.load_instance(args.instance)
     x = bench_mod.load_point(args.point)
-    grid = default_grid(0.995 / inst.objective.lipschitz, args.grid_points)
+    grid = default_grid(default_stepsize(inst.objective.lipschitz), args.grid_points)
     report = check_strong_stationary(inst.objective, inst.set_, inst.s, x, grid, args.tol)
     coord = check_coordinatewise(inst.objective, inst.set_, inst.s, x, grid, args.tol)
     payload = report.to_dict()

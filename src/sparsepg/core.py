@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
 __all__ = [
@@ -38,6 +40,13 @@ def support_of(x: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return np.nonzero(np.abs(x) > tol)[0]
 
 
+def _complement(supp: np.ndarray, n: int) -> np.ndarray:
+    """Indices in range(n) outside ``supp``, ascending."""
+    mask = np.ones(n, dtype=bool)
+    mask[supp] = False
+    return np.nonzero(mask)[0]
+
+
 def sorting_permutation(v: np.ndarray) -> np.ndarray:
     """Permutation sigma with v[sigma] non-ascending; ties broken by ascending index."""
     return np.argsort(-np.asarray(v, dtype=np.float64), kind="stable")
@@ -46,3 +55,16 @@ def sorting_permutation(v: np.ndarray) -> np.ndarray:
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds give identical streams on all platforms."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _as_dict(record) -> dict:
+    """A dataclass as a dict in field order: arrays become lists, nested dataclasses dicts."""
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return _as_dict(value) if is_dataclass(value) else value

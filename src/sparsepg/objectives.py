@@ -4,8 +4,9 @@ Solvers accept any object exposing ``value``, ``grad``, ``value_and_grad``,
 ``lipschitz`` and ``dim``; the two families below cover least squares and
 logistic regression.
 
-Both form ``A @ x`` from the columns on the support of ``x`` only, since the
-solvers' iterates are sparse: ``value`` costs O(m * ||x||_0), and ``grad`` or
+Both are losses of ``A @ x`` and share one evaluation path, which forms
+``A @ x`` from the columns on the support of ``x`` only, since the solvers'
+iterates are sparse: ``value`` costs O(m * ||x||_0), and ``grad`` or
 ``value_and_grad`` cost one dense ``A.T @ v`` plus O(m * ||x||_0).  A point
 with more than a tenth of its entries nonzero takes the dense product instead.
 """
@@ -63,33 +64,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -z))
 
 
-class LeastSquares:
-    """f(x) = 0.5 * ||A x - b||^2."""
+class _LinearModel:
+    """A loss of ``p = A @ x``: one evaluation path for every objective.
 
-    def __init__(self, A, b):
+    Subclasses supply ``_loss(p)`` and ``_grad(p)``; ``value``, ``grad`` and
+    ``value_and_grad`` form ``p`` once per call through ``_product``.
+    """
+
+    def __init__(self, A):
         self.A = np.asarray(A, dtype=np.float64)
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
-        self.b = as_vector(b, self.A.shape[0])
         self._lipschitz: float | None = None
 
     @property
     def dim(self) -> int:
         return self.A.shape[1]
-
-    def _residual(self, x) -> np.ndarray:
-        return _product(self.A, as_vector(x, self.dim)) - self.b
-
-    def value(self, x) -> float:
-        r = self._residual(x)
-        return 0.5 * float(r @ r)
-
-    def grad(self, x) -> np.ndarray:
-        return self.A.T @ self._residual(x)
-
-    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        r = self._residual(x)
-        return 0.5 * float(r @ r), self.A.T @ r
 
     @property
     def lipschitz(self) -> float:
@@ -98,49 +88,53 @@ class LeastSquares:
             self._lipschitz = _top_singular_value_sq(self.A)
         return self._lipschitz
 
+    def _at(self, x) -> np.ndarray:
+        return _product(self.A, as_vector(x, self.dim))
 
-class Logistic:
+    def value(self, x) -> float:
+        return self._loss(self._at(x))
+
+    def grad(self, x) -> np.ndarray:
+        return self._grad(self._at(x))
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        p = self._at(x)
+        return self._loss(p), self._grad(p)
+
+
+class LeastSquares(_LinearModel):
+    """f(x) = 0.5 * ||A x - b||^2."""
+
+    def __init__(self, A, b):
+        super().__init__(A)
+        self.b = as_vector(b, self.A.shape[0])
+
+    def _loss(self, p: np.ndarray) -> float:
+        r = p - self.b
+        return 0.5 * float(r @ r)
+
+    def _grad(self, p: np.ndarray) -> np.ndarray:
+        return self.A.T @ (p - self.b)
+
+
+class Logistic(_LinearModel):
     """f(x) = sum_i log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1}.
 
     Rows of ``A`` are the samples a_i.  Evaluation uses logaddexp so large
-    margins neither overflow nor lose the tail.
+    margins neither overflow nor lose the tail.  The Lipschitz constant is
+    that of A: flipping the sign of rows leaves A^T A unchanged, exactly in
+    floating point, so the label-scaled matrix is never formed.
     """
 
     def __init__(self, A, labels):
-        self.A = np.asarray(A, dtype=np.float64)
-        if self.A.ndim != 2:
-            raise ValueError("A must be a matrix")
+        super().__init__(A)
         self.labels = as_vector(labels, self.A.shape[0])
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        self._lipschitz: float | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
+    def _loss(self, p: np.ndarray) -> float:
+        return float(np.sum(np.logaddexp(0.0, -(self.labels * p))))
 
-    def _margins(self, x) -> np.ndarray:
-        return self.labels * _product(self.A, as_vector(x, self.dim))
-
-    def value(self, x) -> float:
-        return float(np.sum(np.logaddexp(0.0, -self._margins(x))))
-
-    def grad(self, x) -> np.ndarray:
-        z = self._margins(x)
+    def _grad(self, p: np.ndarray) -> np.ndarray:
+        z = self.labels * p
         return -(self.A.T @ (self.labels * _sigmoid(-z)))
-
-    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        z = self._margins(x)
-        value = float(np.sum(np.logaddexp(0.0, -z)))
-        return value, -(self.A.T @ (self.labels * _sigmoid(-z)))
-
-    @property
-    def lipschitz(self) -> float:
-        """Squared spectral norm of the label-scaled sample matrix.
-
-        Flipping the sign of rows leaves A^T A unchanged, exactly in floating
-        point, so the power iteration runs on ``A`` itself.
-        """
-        if self._lipschitz is None:
-            self._lipschitz = _top_singular_value_sq(self.A)
-        return self._lipschitz

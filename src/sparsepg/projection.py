@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, support_of
+from .core import _complement, as_vector, support_of
 from .sets import SymmetricSet
 
 __all__ = ["SparseProjection", "project_sparse", "certify_unique", "brute_force_project"]
@@ -92,9 +92,7 @@ def certify_unique(
     if tol is None:
         tol = 1e-10 * (1.0 + float(np.max(np.abs(x))))
     ranked = set_.ranking_values(x)
-    mask = np.zeros(x.size, dtype=bool)
-    mask[supp] = True
-    return float(np.min(ranked[mask])) > float(np.max(ranked[~mask])) + tol
+    return float(np.min(ranked[supp])) > float(np.max(ranked[_complement(supp, x.size)])) + tol
 
 
 def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, support_of
+from .core import _as_dict, as_vector, support_of
 from .projection import project_sparse
 from .sets import SymmetricSet
 from .stationarity import (
@@ -35,6 +35,7 @@ __all__ = [
     "pg_solve",
     "npg_solve",
     "benchmark_config",
+    "default_stepsize",
 ]
 
 
@@ -94,6 +95,11 @@ class SolverConfig:
             raise ValueError("c1 must be below 1/tbar - lipschitz")
 
 
+def default_stepsize(lipschitz: float) -> float:
+    """The standard stepsize 0.995/L, just below the 1/L the convergence theory allows."""
+    return 0.995 / lipschitz
+
+
 def benchmark_config(
     lipschitz: float,
     M: int,
@@ -102,8 +108,8 @@ def benchmark_config(
     f_tol: float = 1e-8,
     max_iter: int = 100_000,
 ) -> SolverConfig:
-    """Standard parameterization: tbar = 0.995/L, t_min = tbar, t_max = 1e8."""
-    tbar = 0.995 / lipschitz
+    """Standard parameterization: tbar = default_stepsize(L), t_min = tbar, t_max = 1e8."""
+    tbar = default_stepsize(lipschitz)
     c1 = min(0.995 * (1.0 / tbar - lipschitz), 1e-8)
     return SolverConfig(
         t_min=tbar,
@@ -146,19 +152,7 @@ class IterationRecord:
     projstep_dist_sq: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "step_kind": self.step_kind,
-            "f_value": self.f_value,
-            "stepsize": self.stepsize,
-            "support": self.support.tolist(),
-            "backtracks": self.backtracks,
-            "move_sq": self.move_sq,
-            "shape_gap": self.shape_gap,
-            "nonneg_gap": self.nonneg_gap,
-            "projstep_value": self.projstep_value,
-            "projstep_dist_sq": self.projstep_dist_sq,
-        }
+        return _as_dict(self)
 
 
 @dataclass
@@ -179,15 +173,7 @@ class IterateTrace:
         return np.array([self.f_initial] + [r.f_value for r in self.records])
 
     def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "f_initial": self.f_initial,
-            "x_final": self.x_final.tolist(),
-            "f_final": self.f_final,
-            "iterations": self.iterations,
-            "wall_time_seconds": self.wall_time_seconds,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-        }
+        return _as_dict(self)
 
 
 def bb_initial_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:

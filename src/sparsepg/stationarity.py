@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSupportError, as_vector, make_rng, support_of
+from .core import DegenerateSupportError, _as_dict, _complement, as_vector, make_rng, support_of
 from .projection import brute_force_project, project_sparse
 from .sets import SymmetricSet
+from .subroutines import _swap_candidates
 
 __all__ = [
     "GapMinimum",
@@ -68,13 +69,7 @@ class StationarityReport:
     witness: np.ndarray | None
 
     def to_dict(self) -> dict:
-        return {
-            "general": self.general,
-            "strong": self.strong,
-            "coordinatewise": self.coordinatewise,
-            "worst_violation": self.worst_violation,
-            "witness": None if self.witness is None else self.witness.tolist(),
-        }
+        return _as_dict(self)
 
 
 def default_grid(t_max: float, points: int = 50) -> np.ndarray:
@@ -92,9 +87,7 @@ def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
     if supp.size == 0 or supp.size == x.size:
         raise DegenerateSupportError("support gap needs 0 < ||x||_0 < n")
     ranked = set_.ranking_values(x - t * grad)
-    mask = np.zeros(x.size, dtype=bool)
-    mask[supp] = True
-    return float(np.min(ranked[mask]) - np.max(ranked[~mask]))
+    return float(np.min(ranked[supp]) - np.max(ranked[_complement(supp, x.size)]))
 
 
 def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimum:
@@ -121,9 +114,7 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
             return GapMinimum(step=float(t_max), value=g1)
         return GapMinimum(step=0.0, value=g0)
 
-    mask = np.zeros(x.size, dtype=bool)
-    mask[supp] = True
-    alpha = float(np.max(np.abs(grad[~mask])))
+    alpha = float(np.max(np.abs(grad[_complement(supp, x.size)])))
     best_val = math.inf
     best_step = 0.0
     for i in supp:
@@ -152,18 +143,7 @@ def _require_feasible(set_: SymmetricSet, s: int, x: np.ndarray, tol: float) -> 
 
 def check_general_stationary(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:
     """True if x stays in the projection set of its own gradient step on the whole grid."""
-    x = as_vector(x)
-    _require_feasible(set_, s, x, tol)
-    grad = obj.grad(x)
-    for t in np.asarray(t_grid, dtype=np.float64):
-        a = x - t * grad
-        point = project_sparse(set_, s, a).point
-        if float(np.linalg.norm(point - x)) <= tol:
-            continue
-        # not the returned minimizer; accept if x ties its squared distance
-        if float(np.sum((x - a) ** 2)) > float(np.sum((point - a) ** 2)) + tol:
-            return False
-    return True
+    return check_strong_stationary(obj, set_, s, x, t_grid, tol).general
 
 
 def _confirmed_singleton(set_: SymmetricSet, s: int, a: np.ndarray) -> bool:
@@ -217,7 +197,7 @@ def check_strong_stationary(
 
 
 def _super_supports(supp: np.ndarray, n: int, s: int) -> list[np.ndarray]:
-    free = np.setdiff1d(np.arange(n), supp)
+    free = _complement(supp, n)
     need = s - supp.size
     if need == 0:
         return [supp]
@@ -243,10 +223,10 @@ def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float)
 
     Part one asks for a single positive grid step at which every size-``s``
     super support of x is a fixed point of the restricted projected gradient
-    step.  Part two swaps the weakest on-support coordinate to the most
-    promising off-support one and requires no objective improvement beyond
-    ``tol``.  Failure on the grid does not refute the condition for stepsizes
-    off the grid.
+    step.  Part two tries the swap of :func:`coordinate_swap`, on the support
+    counted with the feasibility tolerance, and requires no objective
+    improvement beyond ``tol``.  Failure on the grid does not refute the
+    condition for stepsizes off the grid.
     """
     x = as_vector(x)
     supp = _require_feasible(set_, s, x, tol)
@@ -268,24 +248,6 @@ def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float)
 
     if supp.size == 0 or supp.size == n:
         return True
-    ranked_x = set_.ranking_values(x)
-    ranked_neg_grad = set_.ranking_values(-grad)
-    on_vals = ranked_x[supp]
-    level = supp[on_vals == np.min(on_vals)]
-    i = int(level[np.argmin(ranked_neg_grad[level])])
-    mask = np.ones(n, dtype=bool)
-    mask[supp] = False
-    comp = np.nonzero(mask)[0]
-    j = int(comp[np.argmax(ranked_neg_grad[comp])])
-
+    candidates = _swap_candidates(set_, x, grad, supp)
     fx = obj.value(x)
-    plus = x.copy()
-    plus[j] = x[i]
-    plus[i] = 0.0
-    best = obj.value(plus)
-    if set_.kind == "sign-free":
-        minus = x.copy()
-        minus[j] = -x[i]
-        minus[i] = 0.0
-        best = min(best, obj.value(minus))
-    return fx <= best + tol
+    return fx <= min(obj.value(y) for y in candidates) + tol

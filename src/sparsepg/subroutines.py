@@ -10,19 +10,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DegenerateSupportError, as_vector, support_of
+from .core import DegenerateSupportError, _complement, as_vector, support_of
 from .sets import SymmetricSet
 
 __all__ = ["coordinate_swap", "change_support"]
 
 
-def _split_support(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _proper_support(x: np.ndarray) -> np.ndarray:
     supp = support_of(x)
     if supp.size == 0 or supp.size == x.size:
         raise DegenerateSupportError("need 0 < ||x||_0 < n")
-    mask = np.ones(x.size, dtype=bool)
-    mask[supp] = False
-    return supp, np.nonzero(mask)[0]
+    return supp
+
+
+def _swap_candidates(set_: SymmetricSet, x: np.ndarray, grad: np.ndarray,
+                     supp: np.ndarray) -> list[np.ndarray]:
+    """The points :func:`coordinate_swap` tries at ``x``, taking ``supp`` as the support.
+
+    ``x[i]`` moved to ``j``, and for sign-free sets also ``-x[i]`` moved to
+    ``j``, for the pair (i, j) that :func:`coordinate_swap` describes.
+    """
+    ranked_x = set_.ranking_values(x)
+    ranked_neg_grad = set_.ranking_values(-grad)
+    on_vals = ranked_x[supp]
+    level = supp[on_vals == np.min(on_vals)]
+    i = int(level[np.argmin(ranked_neg_grad[level])])
+    comp = _complement(supp, x.size)
+    j = int(comp[np.argmax(ranked_neg_grad[comp])])
+
+    plus = x.copy()
+    plus[j] = x[i]
+    plus[i] = 0.0
+    if set_.kind == "nonnegative":
+        return [plus]
+    minus = plus.copy()
+    minus[j] = -x[i]
+    return [plus, minus]
 
 
 def coordinate_swap(obj, set_: SymmetricSet, x) -> np.ndarray:
@@ -31,35 +54,17 @@ def coordinate_swap(obj, set_: SymmetricSet, x) -> np.ndarray:
     Among the support coordinates with the smallest ranking value, picks the
     one whose negative-gradient ranking is smallest, and transplants its value
     to the off-support coordinate with the largest negative-gradient ranking
-    (trying both signs for sign-free sets).  Returns the swapped point only on
-    a strict objective decrease, otherwise ``x`` unchanged.  All ties break
-    toward the lowest index.
+    (trying both signs for sign-free sets, the positive one first).  Returns
+    the better swapped point only on a strict objective decrease, otherwise
+    ``x`` unchanged.  All ties break toward the lowest index.
     """
     x = as_vector(x)
-    supp, comp = _split_support(x)
-    grad = obj.grad(x)
-    ranked_x = set_.ranking_values(x)
-    ranked_neg_grad = set_.ranking_values(-grad)
-
-    on_vals = ranked_x[supp]
-    level = supp[on_vals == np.min(on_vals)]
-    i = int(level[np.argmin(ranked_neg_grad[level])])
-    j = int(comp[np.argmax(ranked_neg_grad[comp])])
-
+    supp = _proper_support(x)
+    candidates = _swap_candidates(set_, x, obj.grad(x), supp)
     fx = obj.value(x)
-    plus = x.copy()
-    plus[j] = x[i]
-    plus[i] = 0.0
-    if set_.kind == "nonnegative":
-        return plus if fx > obj.value(plus) else x
-
-    minus = x.copy()
-    minus[j] = -x[i]
-    minus[i] = 0.0
-    f_plus = obj.value(plus)
-    f_minus = obj.value(minus)
-    if fx > min(f_plus, f_minus):
-        return plus if f_plus <= f_minus else minus
+    f = [obj.value(y) for y in candidates]
+    if fx > min(f):
+        return candidates[0] if f[0] <= f[-1] else candidates[-1]
     return x
 
 
@@ -75,7 +80,7 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
     x = as_vector(x)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    supp, comp = _split_support(x)
+    supp = _proper_support(x)
     if supp.size > s:
         raise ValueError(f"input has {supp.size} nonzeros, exceeds sparsity level {s}")
     a = x - t * obj.grad(x)
@@ -83,6 +88,7 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
 
     on_vals = ranked[supp]
     drop_pool = supp[on_vals == np.min(on_vals)]
+    comp = _complement(supp, x.size)
     off_vals = ranked[comp]
     add_pool = comp[off_vals == np.max(off_vals)]
     k = min(drop_pool.size, add_pool.size)

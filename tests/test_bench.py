@@ -77,11 +77,12 @@ def test_logistic_instance_shape_and_rules():
 
 
 def test_logistic_force_label_hook():
-    inst = gen_logistic_instance(8, 6, make_rng(5), force_label=1)
-    assert np.all(inst.objective.labels == 1.0)
+    inst = gen_logistic_instance(8, 6, make_rng(5))
+    obj = Logistic(inst.objective.A, np.ones(8))
+    assert np.all(obj.labels == 1.0)
     # with all labels +1, the gradient at zero is -(1/2) * sum of samples
-    expected = -0.5 * inst.objective.A.sum(axis=0)
-    np.testing.assert_allclose(inst.objective.grad(np.zeros(6)), expected, atol=1e-12)
+    expected = -0.5 * obj.A.sum(axis=0)
+    np.testing.assert_allclose(obj.grad(np.zeros(6)), expected, atol=1e-12)
 
 
 def test_simplex_instance_construction():
@@ -192,3 +193,23 @@ def test_csv_cells():
     )
     line = BenchReport([row]).to_csv().splitlines()[1]
     assert line == "logistic,1,2,1,pg,0,,0.125,,true,"
+
+
+def test_row_dict_key_order():
+    keys = [
+        "family", "m", "n", "s", "method", "seed", "cardinality", "objective",
+        "time_s", "strong_stationary", "violation", "error",
+    ]
+    row = BenchRow(
+        family="logistic", m=1, n=2, s=1, method="pg", seed=0,
+        cardinality=1, objective=0.125, time_s=0.5,
+        strong_stationary=True, violation=0.0,
+    )
+    assert list(row.to_dict()) == keys
+    assert row.to_dict()["error"] is None
+    bad = gen_instance("cs-least-squares", 20, 64, seed=1, s=3)
+    bad.x0 = np.ones(64)
+    failed = run_benchmark([bad], methods=("pg",)).rows[0].to_dict()
+    assert list(failed) == keys
+    assert [failed[k] for k in keys[6:11]] == [None] * 5
+    assert failed["error"].startswith("ValueError: infeasible start")

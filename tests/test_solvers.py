@@ -181,6 +181,16 @@ def test_trace_serializes_to_json():
     trace = npg_solve(obj, full_space(), 1, np.array([0.0, 1.0]), small_config(obj.lipschitz))
     payload = json.dumps(trace.to_dict())
     back = json.loads(payload)
+    assert list(back) == [
+        "records", "f_initial", "x_final", "f_final", "iterations",
+        "wall_time_seconds", "certificate",
+    ]
+    assert list(back["records"][0]) == [
+        "k", "step_kind", "f_value", "stepsize", "support", "backtracks", "move_sq",
+        "shape_gap", "nonneg_gap", "projstep_value", "projstep_dist_sq",
+    ]
+    assert back["x_final"] == trace.x_final.tolist()
+    assert back["records"][0]["support"] == trace.records[0].support.tolist()
     assert back["iterations"] == trace.iterations
     assert back["records"][0]["step_kind"] in {
         "swap",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsepg import (
     DegenerateSupportError,
@@ -175,6 +176,26 @@ def test_strong_implies_general():
             assert check_general_stationary(obj, set_, s, x, grid, 1e-6)
 
 
+@given(
+    st.sampled_from(ALL_SETS),
+    st.integers(3, 7),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 8]),
+    st.booleans(),
+)
+def test_general_check_matches_the_strong_reports_flag(set_, n, seed, decimals, from_center):
+    # rounding the center makes ties likely; projecting the center itself
+    # often lands on a stationary point
+    rng = make_rng(seed)
+    s = int(rng.integers(1, n))
+    center = np.round(rng.standard_normal(n), decimals)
+    obj = quadratic(center)
+    x = project_sparse(set_, s, center if from_center else rng.standard_normal(n)).point
+    grid = default_grid(0.9, 12)
+    report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
+    assert check_general_stationary(obj, set_, s, x, grid, 1e-6) == report.general
+
+
 def test_witnesses_always_improve():
     rng = make_rng(37)
     grid = default_grid(0.9, 30)
@@ -210,6 +231,42 @@ def test_check_coordinatewise_zero_gradient():
     assert check_coordinatewise(obj, full_space(), 2, [0.5, 0.5, 0.0], grid, 1e-8)
 
 
+class RecordingQuadratic:
+    """A quadratic that records every point passed to ``value``."""
+
+    def __init__(self, center):
+        self._inner = quadratic(center)
+        self.dim = self._inner.dim
+        self.lipschitz = self._inner.lipschitz
+        self.seen = []
+
+    def value(self, x):
+        self.seen.append(np.array(x, dtype=float))
+        return self._inner.value(x)
+
+    def grad(self, x):
+        return self._inner.grad(x)
+
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
+
+@pytest.mark.parametrize("set_", [full_space(), nonneg_orthant()], ids=str)
+def test_check_coordinatewise_swaps_on_the_tolerant_support(set_):
+    # x[1] = 1e-14 lies below the support threshold 1e-12 * (1 + max|x|), so
+    # it counts as off-support: the weakest support entry is x[3] = 1, and
+    # the off-support entry with the steepest descent is x[1] itself
+    obj = RecordingQuadratic([2.0, 0.5, 0.3, 1.0])
+    x = np.array([2.0, 1e-14, 0.0, 1.0])
+    assert check_coordinatewise(obj, set_, 2, x, default_grid(0.995, 50), 1e-8)
+    expected = [x, [2.0, 1.0, 0.0, 0.0]]
+    if set_.kind == "sign-free":
+        expected.append([2.0, -1.0, 0.0, 0.0])
+    assert len(obj.seen) == len(expected)
+    for seen, point in zip(obj.seen, expected):
+        assert np.array_equal(seen, point)
+
+
 def test_checkers_reject_infeasible_points():
     obj = quadratic([1.0, 1.0, 1.0])
     grid = default_grid(0.5, 10)
@@ -223,5 +280,5 @@ def test_report_serializes():
     obj = quadratic([3.0, 1.0])
     report = check_strong_stationary(obj, full_space(), 1, [0.0, 1.0], default_grid(0.9, 10), 1e-8)
     d = report.to_dict()
-    assert set(d) == {"general", "strong", "coordinatewise", "worst_violation", "witness"}
+    assert list(d) == ["general", "strong", "coordinatewise", "worst_violation", "witness"]
     assert isinstance(d["witness"], list)

@@ -52,6 +52,14 @@ def test_swap_sign_free_prefers_negative_transplant():
     assert obj.value([0.0, 2.0, 1.0]) == pytest.approx(20.0)
 
 
+def test_swap_sign_free_tie_keeps_positive_transplant():
+    # candidates (0,2,1) and (0,2,-1) both cost 1 against f(x)=2
+    obj = quadratic([-1.0, 2.0, 0.0])
+    out = coordinate_swap(obj, full_space(), np.array([1.0, 2.0, 0.0]))
+    assert np.array_equal(out, [0.0, 2.0, 1.0])
+    assert obj.value([0.0, 2.0, -1.0]) == obj.value(out) == 1.0
+
+
 def test_swap_degenerate_inputs():
     obj = quadratic([1.0, 1.0])
     with pytest.raises(DegenerateSupportError):
