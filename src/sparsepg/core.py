@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -20,13 +21,18 @@ class DegenerateSupportError(ValueError):
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries."""
+    """Coerce ``x`` to a 1-D float64 array, rejecting NaN/Inf entries.
+
+    A finite sum proves every entry finite.  Only when the sum is not (a
+    NaN or Inf entry, or finite entries whose sum overflows, which NumPy
+    warns about) are the entries tested one by one.
+    """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if n is not None and v.size != n:
         raise ValueError(f"expected length {n}, got {v.size}")
-    if not np.isfinite(v).all():
+    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -44,7 +50,12 @@ def _complement(supp: np.ndarray, n: int) -> np.ndarray:
     """Indices in range(n) outside ``supp``, ascending."""
     mask = np.ones(n, dtype=bool)
     mask[supp] = False
-    return np.nonzero(mask)[0]
+    return mask.nonzero()[0]
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a 1-D float64 vector, bit for bit, without its wrapper."""
+    return math.sqrt(x.dot(x))
 
 
 def sorting_permutation(v: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ _DENSE_SHARE = 0.1
 
 def _product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` from the columns of ``A`` where ``x`` is nonzero, unless most entries are."""
-    supp = np.flatnonzero(x)
+    supp = x.nonzero()[0]
     if supp.size > _DENSE_SHARE * x.size:
         return A @ x
     return A[:, supp] @ x[supp]
@@ -133,7 +133,7 @@ class Logistic(_LinearModel):
             raise ValueError("labels must be -1 or +1")
 
     def _loss(self, p: np.ndarray) -> float:
-        return float(np.sum(np.logaddexp(0.0, -(self.labels * p))))
+        return float(np.logaddexp(0.0, -(self.labels * p)).sum())
 
     def _grad(self, p: np.ndarray) -> np.ndarray:
         z = self.labels * p

@@ -44,12 +44,12 @@ def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     partition instead of a full sort.
     """
     n = ranked.size
-    threshold = ranked[np.argpartition(ranked, n - s)[n - s]]
+    threshold = ranked[ranked.argpartition(n - s)[n - s]]
     chosen = ranked > threshold
     missing = s - int(np.count_nonzero(chosen))
     if missing:
-        chosen[np.flatnonzero(ranked == threshold)[:missing]] = True
-    return np.flatnonzero(chosen)
+        chosen[(ranked == threshold).nonzero()[0][:missing]] = True
+    return chosen.nonzero()[0]
 
 
 def project_sparse(
@@ -61,13 +61,14 @@ def project_sparse(
     sort of the ranking values (``sorting_permutation``), found by partition;
     any sorting permutation yields a valid projection, the stable one makes
     the choice deterministic.  Pass ``certify_uniqueness=False`` to skip the
-    uniqueness certificate (the flag comes back False); solver inner loops do
-    this.
+    uniqueness certificate (the flag comes back False); solver inner loops and
+    the stationarity check do this, the latter certifying only where it reads
+    the flag.
     """
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
     support = _top_support(set_.ranking_values(x), s)
-    point = np.zeros_like(x)
+    point = np.zeros(x.size)
     point[support] = set_.project_sub(x[support])
     proj = SparseProjection(point, support, False)
     if not certify_uniqueness:
@@ -90,9 +91,9 @@ def certify_unique(
     if supp.size < s:
         return True
     if tol is None:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(x))))
+        tol = 1e-10 * (1.0 + float(abs(x).max()))
     ranked = set_.ranking_values(x)
-    return float(np.min(ranked[supp])) > float(np.max(ranked[_complement(supp, x.size)])) + tol
+    return float(ranked[supp].min()) > float(ranked[_complement(supp, x.size)].max()) + tol
 
 
 def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import _norm, as_vector
 
 __all__ = [
     "SymmetricSet",
@@ -40,9 +40,9 @@ _FEAS_ATOL = 1e-12
 def _simplex_threshold(x: np.ndarray, r: float) -> np.ndarray:
     """Projection of x onto {z >= 0, sum(z) = r} by sorting and thresholding."""
     u = np.sort(x)[::-1]
-    css = np.cumsum(u)
+    css = u.cumsum()
     k = np.arange(1, x.size + 1)
-    rho = np.nonzero(u * k > css - r)[0][-1]
+    rho = (u * k > css - r).nonzero()[0][-1]
     lam = (css[rho] - r) / (rho + 1.0)
     return np.maximum(x - lam, 0.0)
 
@@ -87,37 +87,7 @@ class SymmetricSet:
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection of ``x`` onto the set (unique, the set is convex)."""
-        x = as_vector(x)
-        r = self.radius
-        if self.variant == "full":
-            return x
-        if self.variant == "nonneg":
-            return np.maximum(x, 0.0)
-        if self.variant == "simplex":
-            if np.all(x >= 0.0) and abs(float(np.sum(x)) - r) <= _FEAS_ATOL * (1.0 + r):
-                return x
-            return _simplex_threshold(x, r)
-        if self.variant == "l1ball":
-            if float(np.sum(np.abs(x))) <= r + _FEAS_ATOL * (1.0 + r):
-                return x
-            w = _simplex_threshold(np.abs(x), r)
-            return np.where(x < 0, -w, w)
-        if self.variant == "l2ball":
-            nrm = float(np.linalg.norm(x))
-            if nrm <= r + _FEAS_ATOL * (1.0 + r):
-                return x
-            return x * (r / nrm)
-        if self.variant == "nonneg-l1ball":
-            v = np.maximum(x, 0.0)
-            if float(np.sum(v)) <= r + _FEAS_ATOL * (1.0 + r):
-                return v
-            return _simplex_threshold(x, r)
-        # nonneg-l2ball: project onto the cone, then radially onto the ball
-        v = np.maximum(x, 0.0)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= r + _FEAS_ATOL * (1.0 + r):
-            return v
-        return v * (r / nrm)
+        return self._project(as_vector(x))
 
     def project_sub(self, x_sub) -> np.ndarray:
         """Projection onto the restriction of the set to ``len(x_sub)`` coordinates.
@@ -130,7 +100,40 @@ class SymmetricSet:
         x_sub = as_vector(x_sub)
         if x_sub.size < 1:
             raise ValueError("restriction needs at least one coordinate")
-        return self.project(x_sub)
+        return self._project(x_sub)
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`project` of a vector that :func:`as_vector` has already checked."""
+        r = self.radius
+        if self.variant == "full":
+            return x
+        if self.variant == "nonneg":
+            return np.maximum(x, 0.0)
+        if self.variant == "simplex":
+            if x.min() >= 0.0 and abs(float(x.sum()) - r) <= _FEAS_ATOL * (1.0 + r):
+                return x
+            return _simplex_threshold(x, r)
+        if self.variant == "l1ball":
+            if float(abs(x).sum()) <= r + _FEAS_ATOL * (1.0 + r):
+                return x
+            w = _simplex_threshold(abs(x), r)
+            return np.where(x < 0, -w, w)
+        if self.variant == "l2ball":
+            nrm = _norm(x)
+            if nrm <= r + _FEAS_ATOL * (1.0 + r):
+                return x
+            return x * (r / nrm)
+        if self.variant == "nonneg-l1ball":
+            v = np.maximum(x, 0.0)
+            if float(v.sum()) <= r + _FEAS_ATOL * (1.0 + r):
+                return v
+            return _simplex_threshold(x, r)
+        # nonneg-l2ball: project onto the cone, then radially onto the ball
+        v = np.maximum(x, 0.0)
+        nrm = _norm(v)
+        if nrm <= r + _FEAS_ATOL * (1.0 + r):
+            return v
+        return v * (r / nrm)
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         """Membership test with absolute tolerance ``tol`` on each constraint."""
@@ -148,13 +151,13 @@ class SymmetricSet:
         r = self.radius
         nonneg_gap = 0.0
         if self.kind == "nonnegative":
-            nonneg_gap = max(0.0, -float(np.min(x))) if x.size else 0.0
+            nonneg_gap = max(0.0, -float(x.min())) if x.size else 0.0
         if self.variant == "simplex":
-            shape_gap = abs(float(np.sum(x)) - r)
+            shape_gap = abs(float(x.sum()) - r)
         elif self.variant in ("l1ball", "nonneg-l1ball"):
-            shape_gap = max(0.0, float(np.sum(np.abs(x))) - r)
+            shape_gap = max(0.0, float(abs(x).sum()) - r)
         elif self.variant in ("l2ball", "nonneg-l2ball"):
-            shape_gap = max(0.0, float(np.linalg.norm(x)) - r)
+            shape_gap = max(0.0, _norm(x) - r)
         else:
             shape_gap = 0.0
         return shape_gap, nonneg_gap

@@ -227,9 +227,9 @@ def _record(
         step_kind=kind,
         f_value=f_value,
         stepsize=stepsize,
-        support=support_of(x_new),
+        support=x_new.nonzero()[0],
         backtracks=backtracks,
-        move_sq=float(np.sum((x_new - x_old) ** 2)),
+        move_sq=float(((x_new - x_old) ** 2).sum()),
         shape_gap=shape_gap,
         nonneg_gap=nonneg_gap,
         projstep_value=projstep_value,
@@ -337,7 +337,7 @@ def npg_solve(
     g_prev: np.ndarray | None = None
 
     for k in range(config.max_iter):
-        card = support_of(x).size
+        card = np.count_nonzero(x)
         degenerate = card == 0 or card == n
         x_new: np.ndarray | None = None
         f_new = math.nan
@@ -357,12 +357,12 @@ def npg_solve(
                 xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
                 f_xt = obj.value(xt)
                 _require_finite(f_xt, k, "support change")
-                xt_card = support_of(xt).size
+                xt_card = np.count_nonzero(xt)
                 if 0 < xt_card < n:
                     xh = change_support(obj, set_, s, xt, beta)
                     f_xh = obj.value(xh)
                     _require_finite(f_xh, k, "support change")
-                    dist_sq = float(np.sum((xh - xt) ** 2))
+                    dist_sq = float(((xh - xt) ** 2).sum())
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
                         rec = _record(
                             k,
@@ -393,7 +393,7 @@ def npg_solve(
                 w = project_sparse(set_, s, x - t_trial * g, certify_uniqueness=False).point
                 fw = obj.value(w)
                 _require_finite(fw, k, "trial")
-                if fw <= f_ref - 0.5 * config.c2 * float(np.sum((w - x) ** 2)):
+                if fw <= f_ref - 0.5 * config.c2 * float(((w - x) ** 2).sum()):
                     break
                 t_trial *= config.tau_shrink
                 backtracks += 1

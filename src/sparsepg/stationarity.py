@@ -18,8 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSupportError, _as_dict, _complement, as_vector, make_rng, support_of
-from .projection import brute_force_project, project_sparse
+from .core import (
+    DegenerateSupportError,
+    _as_dict,
+    _complement,
+    _norm,
+    as_vector,
+    make_rng,
+    support_of,
+)
+from .projection import brute_force_project, certify_unique, project_sparse
 from .sets import SymmetricSet
 from .subroutines import _swap_candidates
 
@@ -86,8 +94,14 @@ def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
     supp = support_of(x)
     if supp.size == 0 or supp.size == x.size:
         raise DegenerateSupportError("support gap needs 0 < ||x||_0 < n")
+    return _support_gap(set_, x, grad, supp, _complement(supp, x.size), t)
+
+
+def _support_gap(set_: SymmetricSet, x: np.ndarray, grad: np.ndarray, supp: np.ndarray,
+                 off: np.ndarray, t: float) -> float:
+    """:func:`support_gap` of checked vectors, with the support and its complement."""
     ranked = set_.ranking_values(x - t * grad)
-    return float(np.min(ranked[supp]) - np.max(ranked[_complement(supp, x.size)]))
+    return float(ranked[supp].min() - ranked[off].max())
 
 
 def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimum:
@@ -107,14 +121,15 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
     if supp.size == 0 or supp.size == x.size:
         return GapMinimum(step=t_max, value=0.0)
 
+    off = _complement(supp, x.size)
     if set_.kind == "nonnegative":
-        g0 = support_gap(set_, x, grad, 0.0)
-        g1 = support_gap(set_, x, grad, float(t_max))
+        g0 = _support_gap(set_, x, grad, supp, off, 0.0)
+        g1 = _support_gap(set_, x, grad, supp, off, float(t_max))
         if g1 <= g0:
             return GapMinimum(step=float(t_max), value=g1)
         return GapMinimum(step=0.0, value=g0)
 
-    alpha = float(np.max(np.abs(grad[_complement(supp, x.size)])))
+    alpha = float(abs(grad[off]).max())
     best_val = math.inf
     best_step = 0.0
     for i in supp:
@@ -159,8 +174,10 @@ def check_strong_stationary(
 
     Strong requires, at every grid step, that the projection returns the point
     itself and that uniqueness is certified (or confirmed exhaustively at very
-    small dimension).  When some gradient step projects to a different point,
-    the one with the largest objective drop is reported as witness.
+    small dimension).  Uniqueness is certified only at the steps whose
+    projection stays within ``tol`` of the point, the only ones that read it.
+    When some gradient step projects to a different point, the one with the
+    largest objective drop is reported as witness.
     """
     x = as_vector(x)
     _require_feasible(set_, s, x, tol)
@@ -173,15 +190,15 @@ def check_strong_stationary(
     best_drop = 0.0
     for t in np.asarray(t_grid, dtype=np.float64):
         a = x - t * grad
-        proj = project_sparse(set_, s, a)
-        move = float(np.linalg.norm(proj.point - x))
+        proj = project_sparse(set_, s, a, certify_uniqueness=False)
+        move = _norm(proj.point - x)
         worst = max(worst, move)
         if move <= tol:
-            if not (proj.certified_unique or _confirmed_singleton(set_, s, a)):
+            if not (certify_unique(set_, s, a, proj) or _confirmed_singleton(set_, s, a)):
                 strong = False
             continue
         strong = False
-        if float(np.sum((x - a) ** 2)) > float(np.sum((proj.point - a) ** 2)) + tol:
+        if float(((x - a) ** 2).sum()) > float(((proj.point - a) ** 2).sum()) + tol:
             general = False
         drop = fx - obj.value(proj.point)
         if drop > best_drop:

@@ -33,10 +33,10 @@ def _swap_candidates(set_: SymmetricSet, x: np.ndarray, grad: np.ndarray,
     ranked_x = set_.ranking_values(x)
     ranked_neg_grad = set_.ranking_values(-grad)
     on_vals = ranked_x[supp]
-    level = supp[on_vals == np.min(on_vals)]
-    i = int(level[np.argmin(ranked_neg_grad[level])])
+    level = supp[on_vals == on_vals.min()]
+    i = int(level[ranked_neg_grad[level].argmin()])
     comp = _complement(supp, x.size)
-    j = int(comp[np.argmax(ranked_neg_grad[comp])])
+    j = int(comp[ranked_neg_grad[comp].argmax()])
 
     plus = x.copy()
     plus[j] = x[i]
@@ -87,15 +87,17 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
     ranked = set_.ranking_values(a)
 
     on_vals = ranked[supp]
-    drop_pool = supp[on_vals == np.min(on_vals)]
+    drop_pool = supp[on_vals == on_vals.min()]
     comp = _complement(supp, x.size)
     off_vals = ranked[comp]
-    add_pool = comp[off_vals == np.max(off_vals)]
+    add_pool = comp[off_vals == off_vals.max()]
     k = min(drop_pool.size, add_pool.size)
-    dropped = drop_pool[:k]
-    added = add_pool[:k]
 
-    new_support = np.sort(np.concatenate([np.setdiff1d(supp, dropped), added]))
-    y = np.zeros_like(x)
+    edited = np.zeros(x.size, dtype=bool)
+    edited[supp] = True
+    edited[drop_pool[:k]] = False
+    edited[add_pool[:k]] = True
+    new_support = edited.nonzero()[0]
+    y = np.zeros(x.size)
     y[new_support] = set_.project_sub(a[new_support])
     return y

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparsepg import support_of
+from sparsepg import StationarityReport, brute_force_project, project_sparse, support_of
 
 
 def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
@@ -26,3 +26,38 @@ def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
     mask[supp] = True
     vals = ranked[:, mask].min(axis=1) - ranked[:, ~mask].max(axis=1)
     return ts, vals
+
+
+def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
+    """Reference for ``check_strong_stationary``: a certified projection at every grid step.
+
+    Each step's projection certifies its own uniqueness, whether or not the
+    step reads the flag.  At a step that stays at ``x`` and is not
+    certified, every size-``s`` support is enumerated when n <= 12.  ``x``
+    must be feasible (not checked).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = obj.grad(x)
+    fx = obj.value(x)
+    general = strong = True
+    worst = 0.0
+    witness = None
+    best_drop = 0.0
+    for t in np.asarray(t_grid, dtype=np.float64):
+        a = x - t * grad
+        proj = project_sparse(set_, s, a, certify_uniqueness=True)
+        move = float(np.linalg.norm(proj.point - x))
+        worst = max(worst, move)
+        if move <= tol:
+            singleton = a.size <= 12 and len(brute_force_project(set_, s, a)) == 1
+            if not (proj.certified_unique or singleton):
+                strong = False
+            continue
+        strong = False
+        if float(np.sum((x - a) ** 2)) > float(np.sum((proj.point - a) ** 2)) + tol:
+            general = False
+        drop = fx - obj.value(proj.point)
+        if drop > best_drop:
+            best_drop = drop
+            witness = proj.point
+    return StationarityReport(general, strong, None, worst, witness)

@@ -66,3 +66,11 @@ def test_as_vector_validation():
         as_vector(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         as_vector(np.array([1.0, 2.0]), n=3)
+    # the sum of these is not finite, so the entries are tested one by one;
+    # only the first vector's are all finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert as_vector([1e308, 1e308]).tolist() == [1e308, 1e308]
+        with pytest.raises(ValueError):
+            as_vector([np.inf, -np.inf])
+        with pytest.raises(ValueError):
+            as_vector([np.nan, 1.0])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparsepg import (
     DegenerateSupportError,
@@ -11,13 +11,14 @@ from sparsepg import (
     check_strong_stationary,
     default_grid,
     full_space,
+    l1_ball,
     make_rng,
     minimize_support_gap,
     nonneg_orthant,
     project_sparse,
     support_gap,
 )
-from oracles import gap_on_grid
+from oracles import gap_on_grid, strong_stationary_on_grid
 
 ALL_SETS = catalog()
 
@@ -194,6 +195,67 @@ def test_general_check_matches_the_strong_reports_flag(set_, n, seed, decimals, 
     grid = default_grid(0.9, 12)
     report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
     assert check_general_stationary(obj, set_, s, x, grid, 1e-6) == report.general
+
+
+def assert_matches_certified_grid(obj, set_, s, x, grid):
+    """The report of ``check_strong_stationary``, after comparing it with the reference."""
+    report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
+    expected = strong_stationary_on_grid(obj, set_, s, x, grid, 1e-6)
+    assert report.general == expected.general
+    assert report.strong == expected.strong
+    assert report.worst_violation == expected.worst_violation
+    assert report.coordinatewise is None
+    if expected.witness is None:
+        assert report.witness is None
+    else:
+        assert np.array_equal(report.witness, expected.witness)
+    return report
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(ALL_SETS),
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+# general but not strong: a tie that enumeration finds two projections for
+@example(l1_ball(), 5, 309294, True, False, False, 0.5)
+# general but not strong: a step moves to a second projection as near as x
+@example(nonneg_orthant(), 6, 728916, True, True, False, 2.0)
+# an enumeration confirms uniqueness, and a later step moves
+@example(l1_ball(), 7, 527229, True, True, False, 2.0)
+def test_strong_check_matches_the_certified_grid_reference(
+    set_, n, seed, ties, from_center, short, t_max
+):
+    # small integers make ties likely, and the dyadic grid hits them exactly,
+    # so uncertified steps occur and, at n <= 12, are confirmed by
+    # enumeration; projecting the center itself often lands on a stationary
+    # point, where every step reads the uniqueness flag; a start with fewer
+    # than s nonzeros gives ||x||_0 < s on all but the simplex
+    rng = make_rng(seed)
+    s = int(rng.integers(1, n))
+
+    def draw():
+        return rng.integers(-2, 3, n).astype(float) if ties else rng.standard_normal(n)
+
+    center = draw()
+    start = center.copy() if from_center else draw()
+    if short:
+        start[rng.permutation(n)[s - 1:]] = 0.0
+    x = project_sparse(set_, s, start).point
+    assert_matches_certified_grid(quadratic(center), set_, s, x, default_grid(t_max, 9))
+
+
+def test_strong_check_enumerates_where_the_certificate_fails():
+    # x[1] = 1e-13 lies inside the certificate's margin, so no step is
+    # certified, and enumeration finds no projection farther than 1e-12 from x
+    x = np.array([1.0, 1e-13, 0.0])
+    report = assert_matches_certified_grid(quadratic(x), full_space(), 2, x, default_grid(1.0, 9))
+    assert report.strong
 
 
 def test_witnesses_always_improve():
