@@ -3,9 +3,14 @@
 Every member is either *nonnegative* (contained in the nonnegative orthant) or
 *sign-free* (closed under coordinatewise sign flips).  Projections onto the
 simplex and the l1 ball use the classic sort-and-threshold scheme (Duchi,
-Shalev-Shwartz, Singer, Chandra, ICML 2008).  Membership checks carry a tiny
-absolute slack so that projecting an already-feasible point returns it
-unchanged, bit for bit.
+Shalev-Shwartz, Singer, Chandra, ICML 2008).  Vectors of at most
+``_SCALAR_MAX`` entries, such as the s-sparse sub-projections of the sparse
+projection, are thresholded in Python floats with the same operations in the
+same order, so they give the same bits as the NumPy path at a fraction of its
+per-call cost (the break-even, 56 to 64 entries on a 2-vCPU host, is
+tabulated at the constant).  Membership checks carry a tiny absolute slack
+so that projecting an already-feasible point returns it unchanged, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,13 +42,63 @@ _RADIUS_FREE = frozenset({"full", "nonneg"})
 _FEAS_ATOL = 1e-12
 
 
-def _simplex_threshold(x: np.ndarray, r: float) -> np.ndarray:
-    """Projection of x onto {z >= 0, sum(z) = r} by sorting and thresholding."""
+# Largest vector whose simplex threshold runs on Python floats.  The NumPy
+# path makes about ten calls of about 1 us each, whatever the size; the
+# scalar loop costs about 0.2 us per entry.  Measured on a shared 2-vCPU
+# x86-64 host (NumPy 2.4, Python 3.11; best of 9, two runs over normal and
+# all-active inputs), us per threshold, scalar / NumPy: 5 entries 1.0-1.6 /
+# 8.1-10.7, 20 entries 3.5-4.3 / 9.6-12.4, 48 entries 9.5-11.1 / 11.8-12.3,
+# 56 entries 10.4-12.0 / 11.6-12.6, 64 entries 13.5-13.8 / 11.6-13.8, 96
+# entries 19.3-20.7 / 12.3-13.9.  The break-even lies between 56 and 64; the
+# cutoff stays below it.
+_SCALAR_MAX = 48
+
+
+def _scalar_shift(x: np.ndarray, r: float) -> float | None:
+    """:func:`_array_shift` in Python floats, bit for bit, for short vectors.
+
+    The running sum adds in the order of ``np.cumsum`` (starting from 0.0, it
+    can differ only in the sign of a zero sum, which neither the test nor
+    ``at - r`` sees); ``u * k`` and the division convert the integer count
+    exactly, as NumPy does.
+    """
+    css = at = 0.0
+    k = rho = 0
+    for u in sorted(x.tolist(), reverse=True):
+        k += 1
+        css += u
+        if u * k > css - r:
+            rho, at = k, css
+    return (at - r) / rho if rho else None
+
+
+def _array_shift(x: np.ndarray, r: float) -> float | None:
+    """The shift ``lam`` of the projection ``max(x - lam, 0)``.
+
+    None when no prefix of the sorted entries passes the threshold test.
+    """
     u = np.sort(x)[::-1]
     css = u.cumsum()
-    k = np.arange(1, x.size + 1)
-    rho = (u * k > css - r).nonzero()[0][-1]
-    lam = (css[rho] - r) / (rho + 1.0)
+    passing = (u * np.arange(1, x.size + 1) > css - r).nonzero()[0]
+    if not passing.size:
+        return None
+    rho = passing[-1]
+    return (css[rho] - r) / (rho + 1.0)
+
+
+def _shift(x: np.ndarray, r: float) -> float | None:
+    return _scalar_shift(x, r) if x.size <= _SCALAR_MAX else _array_shift(x, r)
+
+
+def _simplex_threshold(x: np.ndarray, r: float) -> np.ndarray:
+    """Projection of x onto {z >= 0, sum(z) = r} by sorting and thresholding."""
+    lam = _shift(x, r)
+    if lam is None:
+        # An entry so large that r is lost in rounding fails even the first
+        # test.  A common shift of the entries leaves the projection
+        # unchanged, and after x - max(x) the first test reads 0 > -r.
+        x = x - x.max()
+        lam = _shift(x, r)
     return np.maximum(x - lam, 0.0)
 
 
@@ -147,7 +202,10 @@ class SymmetricSet:
         balls; ``nonneg_gap`` is max(0, -min(x)) for nonnegative-kind sets.
         Both are zero for points in the set.
         """
-        x = as_vector(x)
+        return self._constraint_gaps(as_vector(x))
+
+    def _constraint_gaps(self, x: np.ndarray) -> tuple[float, float]:
+        """:meth:`constraint_gaps` of a vector that :func:`as_vector` has already checked."""
         r = self.radius
         nonneg_gap = 0.0
         if self.kind == "nonnegative":

@@ -183,8 +183,15 @@ def bb_initial_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float
     """
     if t_min > t_max:
         raise ValueError("need t_min <= t_max")
-    dx = as_vector(x_cur) - as_vector(x_prev)
-    dg = as_vector(g_cur) - as_vector(g_prev)
+    return _bb_stepsize(
+        as_vector(x_cur), as_vector(x_prev), as_vector(g_cur), as_vector(g_prev), t_min, t_max
+    )
+
+
+def _bb_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
+    """:func:`bb_initial_stepsize` of checked vectors and ``t_min <= t_max``."""
+    dx = x_cur - x_prev
+    dg = g_cur - g_prev
     denom = abs(float(dx @ dg))
     if denom == 0.0:
         return float(t_max)
@@ -221,7 +228,7 @@ def _record(
     projstep_value: float | None = None,
     projstep_dist_sq: float | None = None,
 ) -> IterationRecord:
-    shape_gap, nonneg_gap = set_.constraint_gaps(x_new)
+    shape_gap, nonneg_gap = set_._constraint_gaps(x_new)
     return IterationRecord(
         k=k,
         step_kind=kind,
@@ -384,9 +391,7 @@ def npg_solve(
             if x_prev is None:
                 t_trial = min(config.t_max, max(config.t_min, 1.0))
             else:
-                t_trial = bb_initial_stepsize(
-                    x, x_prev, g, g_prev, config.t_min, config.t_max
-                )
+                t_trial = _bb_stepsize(x, x_prev, g, g_prev, config.t_min, config.t_max)
             f_ref = max(f_hist[-(config.M + 1):])
             backtracks = 0
             while True:

@@ -61,3 +61,18 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
             best_drop = drop
             witness = proj.point
     return StationarityReport(general, strong, None, worst, witness)
+
+
+def simplex_threshold_reference(x, r):
+    """Projection of ``x`` onto {z >= 0, sum(z) = r} by NumPy sort-and-threshold.
+
+    The sparsepg implementation before short vectors moved to Python floats;
+    it raises ``IndexError`` when an entry is so large that ``r`` is lost in
+    rounding.
+    """
+    u = np.sort(x)[::-1]
+    css = u.cumsum()
+    k = np.arange(1, x.size + 1)
+    rho = (u * k > css - r).nonzero()[0][-1]
+    lam = (css[rho] - r) / (rho + 1.0)
+    return np.maximum(x - lam, 0.0)

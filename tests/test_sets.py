@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import simplex_threshold_reference
 from scipy.optimize import minimize
 
 from sparsepg import (
+    SymmetricSet,
     catalog,
     full_space,
     l1_ball,
@@ -14,8 +17,11 @@ from sparsepg import (
     nonneg_simplex,
     parse_set,
 )
+from sparsepg import sets
+from sparsepg.sets import _SCALAR_MAX
 
 ALL_SETS = catalog()
+THRESHOLD_SETS = [nonneg_simplex(1.0), l1_ball(1.0), nonneg_l1_ball(1.0)]
 
 
 def qp_project(set_, x):
@@ -213,3 +219,85 @@ def test_constraint_gaps():
     assert shape == pytest.approx(4.0)
     assert nonneg == 0.0
     assert full_space().constraint_gaps([9.0, -9.0]) == (0.0, 0.0)
+
+
+def test_constraint_gaps_of_checked_vectors_match_the_public_method():
+    rng = make_rng(7)
+    for set_ in catalog(1.5):
+        for _ in range(20):
+            x = rng.standard_normal(int(rng.integers(1, 9))) * rng.uniform(0.1, 3.0)
+            assert set_._constraint_gaps(x) == set_.constraint_gaps(x.tolist())
+
+
+@st.composite
+def threshold_cases(draw):
+    """Vectors on both sides of the scalar cutoff: heavy ties, zeros of both signs, 1e-8..1e8."""
+    n = draw(st.integers(1, 2 * _SCALAR_MAX))
+    tie_prone = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0])
+    spread = st.floats(-1.0, 1.0, allow_subnormal=False)
+    entries = draw(st.sampled_from([tie_prone, spread, st.one_of(tie_prone, spread)]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n))) * scale
+    r = draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.0, 10.0]))
+    if draw(st.booleans()):
+        # entries r below the largest sit on the boundary of the threshold test,
+        # where rounding can fail it at one prefix length and pass it at the next
+        x[1 : draw(st.integers(1, n))] = x.max() - r
+    return x, r
+
+
+# the test passes, fails, then passes again along the sorted prefixes
+NONMONOTONE = (np.array([7.603646726300525] + [7.503646726300525] * 3), 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_cases())
+@example(NONMONOTONE)
+def test_simplex_threshold_matches_the_numpy_reference_bit_for_bit(case):
+    x, r = case
+    assert sets._simplex_threshold(x, r).tobytes() == simplex_threshold_reference(x, r).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_cases())
+@example(NONMONOTONE)
+def test_threshold_projections_match_the_numpy_reference_bit_for_bit(case):
+    x, r = case
+    balls = [SymmetricSet(set_.variant, r) for set_ in THRESHOLD_SETS]
+    ours = [(b.project(x), b.project_sub(x)) for b in balls]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "_simplex_threshold", simplex_threshold_reference)
+        reference = [(b.project(x), b.project_sub(x)) for b in balls]
+    for (p, p_sub), (q, q_sub) in zip(ours, reference):
+        assert p.tobytes() == q.tobytes()
+        assert p_sub.tobytes() == q_sub.tobytes()
+
+
+@pytest.mark.parametrize("size, array_calls", [(_SCALAR_MAX, 0), (_SCALAR_MAX + 1, 1)])
+def test_threshold_switches_to_numpy_above_the_scalar_cutoff(size, array_calls, monkeypatch):
+    calls = []
+    array_shift = sets._array_shift
+
+    def counted(x, r):
+        calls.append(x.size)
+        return array_shift(x, r)
+
+    monkeypatch.setattr(sets, "_array_shift", counted)
+    x = make_rng(size).standard_normal(size)
+    assert nonneg_simplex(1.0).project(x).tobytes() == simplex_threshold_reference(x, 1.0).tobytes()
+    assert calls == [size] * array_calls
+
+
+@pytest.mark.parametrize("size", [1, 2, _SCALAR_MAX + 1], ids=lambda n: f"n{n}")
+@pytest.mark.parametrize("huge", [3e16, 1e17, 1e20, 1e300])
+def test_an_entry_that_dwarfs_the_radius_keeps_all_the_mass(size, huge):
+    x = np.ones(size)
+    x[0] = huge
+    e0 = np.zeros(size)
+    e0[0] = 1.0
+    with pytest.raises(IndexError):
+        simplex_threshold_reference(x, 1.0)  # rounding loses r against the huge entry
+    for set_ in THRESHOLD_SETS:
+        assert np.array_equal(set_.project(x), e0)
+        assert np.array_equal(set_.project_sub(x), e0)
+    assert np.array_equal(l1_ball(1.0).project(-x), -e0)

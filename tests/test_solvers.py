@@ -16,6 +16,7 @@ from sparsepg import (
     pg_solve,
     support_of,
 )
+from sparsepg.solvers import _bb_stepsize
 
 
 def quadratic(center):
@@ -93,6 +94,19 @@ def test_bb_stepsize_examples():
     assert bb_initial_stepsize([1.0, 1.0], z, [1.0, 1.0], z, 0.1, 10.0) == pytest.approx(1.0)
     assert bb_initial_stepsize([1e6, 0.0], z, [1.0, 0.0], z, 0.1, 10.0) == 10.0  # clamp high
     assert bb_initial_stepsize([1e-6, 0.0], z, [1.0, 0.0], z, 0.1, 10.0) == pytest.approx(0.1)
+
+
+def test_bb_stepsize_of_checked_vectors_matches_the_public_function():
+    rng = make_rng(3)
+    z = np.zeros(4)
+    for k in range(50):
+        x, xp, g, gp = (rng.standard_normal(4) * 10.0 ** rng.uniform(-4, 4) for _ in range(4))
+        if k % 5 == 0:
+            g = gp  # dg = 0: the vanishing curvature product
+        t_min, t_max = sorted(10.0 ** rng.uniform(-6, 6, size=2))
+        public = bb_initial_stepsize(x.tolist(), xp, g.tolist(), gp, t_min, t_max)
+        assert _bb_stepsize(x, xp, g, gp, t_min, t_max) == public
+    assert _bb_stepsize(z, z, z, z, 0.1, 10.0) == bb_initial_stepsize(z, z, z, z, 0.1, 10.0) == 10.0
 
 
 def test_pg_converges_to_top_coordinate():
