@@ -94,7 +94,8 @@ def _cmd_solve(args) -> int:
     print(
         f"{args.method}: f={trace.f_final:.6g} iterations={trace.iterations} "
         f"cardinality={int((trace.x_final != 0).sum())} time_s={trace.wall_time_seconds:.3f} "
-        f"strong_stationary={None if cert is None else cert.strong}"
+        f"strong_stationary={None if cert is None else cert.strong} "
+        f"stop_reason={trace.stop_reason} screened_steps={trace.screened_steps}"
     )
     return 0
 

@@ -4,11 +4,16 @@ Solvers accept any object exposing ``value``, ``grad``, ``value_and_grad``,
 ``lipschitz`` and ``dim``; the two families below cover least squares and
 logistic regression.
 
-Both are losses of ``A @ x`` and share one evaluation path, which forms
-``A @ x`` from the columns on the support of ``x`` only, since the solvers'
-iterates are sparse: ``value`` costs O(m * ||x||_0), and ``grad`` or
-``value_and_grad`` cost one dense ``A.T @ v`` plus O(m * ||x||_0).  A point
-with more than a tenth of its entries nonzero takes the dense product instead.
+Both are losses of ``p = A @ x`` and share one evaluation path.  Since the
+solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
+support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  The gradient is
+``A.T @ v`` for the loss derivative ``v`` in ``p``, with one rule on every
+path: its entries on S come from the support columns, ``A[:, S].T @ v``, and
+only the others from the dense product.  ``grad`` and ``value_and_grad`` thus
+cost one dense ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only
+the entries on S (the screened steps of ``pg_solve``) gets them, bit for
+bit, for O(m * ||x||_0).  A point with more than a tenth of its entries
+nonzero takes the dense products unchanged.
 """
 
 from __future__ import annotations
@@ -51,14 +56,6 @@ def _top_singular_value_sq(mat: np.ndarray, max_iter: int = 5000, rtol: float = 
 _DENSE_SHARE = 0.1
 
 
-def _product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` from the columns of ``A`` where ``x`` is nonzero, unless most entries are."""
-    supp = x.nonzero()[0]
-    if supp.size > _DENSE_SHARE * x.size:
-        return A @ x
-    return A[:, supp] @ x[supp]
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-logaddexp(0, -z)) = 1/(1+exp(-z)), stable in both tails
     return np.exp(-np.logaddexp(0.0, -z))
@@ -67,8 +64,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class _LinearModel:
     """A loss of ``p = A @ x``: one evaluation path for every objective.
 
-    Subclasses supply ``_loss(p)`` and ``_grad(p)``; ``value``, ``grad`` and
-    ``value_and_grad`` form ``p`` once per call through ``_product``.
+    Subclasses supply ``_loss(p)`` and ``_dloss(p)``, the m-vector ``v`` with
+    gradient ``A.T @ v``.  ``value``, ``grad`` and ``value_and_grad`` form
+    ``p`` once per call from the support columns, and ``_gradient`` applies
+    the support-column rule.
     """
 
     def __init__(self, A):
@@ -88,18 +87,36 @@ class _LinearModel:
             self._lipschitz = _top_singular_value_sq(self.A)
         return self._lipschitz
 
-    def _at(self, x) -> np.ndarray:
-        return _product(self.A, as_vector(x, self.dim))
+    def _gradient(self, v: np.ndarray, supp: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+        """``A.T @ v`` with its entries on ``supp`` taken from ``cols.T @ v``."""
+        g = self.A.T @ v
+        if supp is not None:
+            g[supp] = cols.T @ v
+        return g
+
+    def _evaluate(self, x) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``p = A @ x``, with the support of ``x`` and the columns of ``A`` there.
+
+        Both are None when more than a tenth of the entries are nonzero, and
+        ``p`` is then the dense product.
+        """
+        x = as_vector(x, self.dim)
+        supp = x.nonzero()[0]
+        if supp.size > _DENSE_SHARE * x.size:
+            return self.A @ x, None, None
+        cols = self.A[:, supp]
+        return cols @ x[supp], supp, cols
 
     def value(self, x) -> float:
-        return self._loss(self._at(x))
+        return self._loss(self._evaluate(x)[0])
 
     def grad(self, x) -> np.ndarray:
-        return self._grad(self._at(x))
+        p, supp, cols = self._evaluate(x)
+        return self._gradient(self._dloss(p), supp, cols)
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        p = self._at(x)
-        return self._loss(p), self._grad(p)
+        p, supp, cols = self._evaluate(x)
+        return self._loss(p), self._gradient(self._dloss(p), supp, cols)
 
 
 class LeastSquares(_LinearModel):
@@ -113,8 +130,8 @@ class LeastSquares(_LinearModel):
         r = p - self.b
         return 0.5 * float(r @ r)
 
-    def _grad(self, p: np.ndarray) -> np.ndarray:
-        return self.A.T @ (p - self.b)
+    def _dloss(self, p: np.ndarray) -> np.ndarray:
+        return p - self.b
 
 
 class Logistic(_LinearModel):
@@ -135,6 +152,5 @@ class Logistic(_LinearModel):
     def _loss(self, p: np.ndarray) -> float:
         return float(np.logaddexp(0.0, -(self.labels * p)).sum())
 
-    def _grad(self, p: np.ndarray) -> np.ndarray:
-        z = self.labels * p
-        return -(self.A.T @ (self.labels * _sigmoid(-z)))
+    def _dloss(self, p: np.ndarray) -> np.ndarray:
+        return -(self.labels * _sigmoid(-(self.labels * p)))

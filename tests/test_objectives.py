@@ -165,6 +165,30 @@ def test_dense_product_above_a_tenth_nonzeros():
                 assert np.isnan(obj.grad(x)[0]) == dense
 
 
+@pytest.mark.parametrize("nonzeros", [1, 3, 6, 7, 30])
+def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros):
+    # up to a tenth of n nonzero, the gradient on S is A[:, S].T @ v bit for
+    # bit, v the loss derivative at A[:, S] @ x[S]; above it, A.T @ v unchanged
+    objectives, rng = seeded_objectives()
+    for obj in objectives:
+        for _ in range(20):
+            x = np.zeros(obj.dim)
+            supp = np.sort(rng.choice(obj.dim, size=nonzeros, replace=False))
+            x[supp] = rng.standard_normal(nonzeros)
+            grad = obj.grad(x)
+            if nonzeros <= obj.dim / 10:
+                cols = obj.A[:, supp]
+                v = obj._dloss(cols @ x[supp])
+                assert np.array_equal(grad[supp], cols.T @ v)
+                off = np.setdiff1d(np.arange(obj.dim), supp)
+                assert np.array_equal(grad[off], (obj.A.T @ v)[off])
+            else:
+                assert np.array_equal(grad, obj.A.T @ obj._dloss(obj.A @ x))
+            value, both_grad = obj.value_and_grad(x)
+            assert value == obj.value(x)
+            assert np.array_equal(both_grad, grad)
+
+
 def test_logistic_lipschitz_equals_label_scaled_estimate():
     # flipping row signs is exact, so skipping the scaled copy changes no bit
     obj = gen_instance("logistic", 100, 200, 2000).objective

@@ -301,3 +301,46 @@ def test_an_entry_that_dwarfs_the_radius_keeps_all_the_mass(size, huge):
         assert np.array_equal(set_.project(x), e0)
         assert np.array_equal(set_.project_sub(x), e0)
     assert np.array_equal(l1_ball(1.0).project(-x), -e0)
+
+
+@st.composite
+def huge_threshold_cases(draw):
+    """Entries at 1e14..1e18, near-equal (a few ulp apart) or independent, so r is a few ulp of them."""
+    n = draw(st.integers(1, 2 * _SCALAR_MAX))
+    base = 10.0 ** draw(st.floats(14.0, 18.0))
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.integers(-20, 0), min_size=n, max_size=n))
+        x = base + np.spacing(base) * np.array(offsets, dtype=float)
+    else:
+        x = 10.0 ** np.array(draw(st.lists(st.floats(14.0, 18.0), min_size=n, max_size=n)))
+    r = draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.0, 10.0]))
+    return x, r
+
+
+FOUND_NEAR_EQUAL = (
+    np.array([6329326021217657.0, 6329326021217656.0, 6329326021217648.0,
+              6329326021217657.0, 6329326021217645.0]),
+    1.0,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_threshold_cases())
+@example(FOUND_NEAR_EQUAL)
+def test_threshold_projections_of_huge_entries_are_members(case):
+    # a result whose sum misses r by more than min(r/2, 1e-3 * (1 + r)) is
+    # recomputed on shifted entries; before that, such inputs summed to 2r or 4r
+    x, r = case
+    tol = min(0.5 * r, 1e-3 * (1.0 + r))
+    for set_ in (nonneg_simplex(r), l1_ball(r), nonneg_l1_ball(r)):
+        for point in (set_.project(x), set_.project_sub(x)):
+            assert set_.contains(point, tol)
+            assert abs(float(np.abs(point).sum()) - r) <= tol
+    assert l1_ball(r).contains(l1_ball(r).project(-x), tol)
+
+
+def test_near_equal_huge_entries_split_the_radius():
+    x, r = FOUND_NEAR_EQUAL
+    for set_ in (nonneg_simplex(r), nonneg_l1_ball(r), l1_ball(r)):
+        assert np.array_equal(set_.project(x), [0.5, 0.0, 0.0, 0.5, 0.0])
+    assert np.array_equal(l1_ball(r).project(-x), [-0.5, 0.0, 0.0, -0.5, 0.0])

@@ -2,14 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsepg import (
     LeastSquares,
+    Logistic,
     SolverConfig,
     bb_initial_stepsize,
     benchmark_config,
+    catalog,
+    default_stepsize,
     full_space,
     gen_cs_instance,
+    gen_instance,
     make_rng,
     max_backtracks,
     npg_solve,
@@ -197,7 +202,7 @@ def test_trace_serializes_to_json():
     back = json.loads(payload)
     assert list(back) == [
         "records", "f_initial", "x_final", "f_final", "iterations",
-        "wall_time_seconds", "certificate",
+        "wall_time_seconds", "certificate", "stop_reason", "screened_steps",
     ]
     assert list(back["records"][0]) == [
         "k", "step_kind", "f_value", "stepsize", "support", "backtracks", "move_sq",
@@ -256,3 +261,92 @@ def test_npg_fails_fast_on_nan_values():
         npg_solve(obj, full_space(), 2, np.zeros(3), config)
     with pytest.raises(FloatingPointError, match="iteration 0, initial phase"):
         npg_solve(obj, full_space(), 2, np.array([1.0, 0.0, 0.0]), config)
+
+
+class PublicProtocol:
+    """An objective seen only through the solvers' public protocol, so PG takes dense steps."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.dim = inner.dim
+        self.lipschitz = inner.lipschitz
+
+    def value(self, x):
+        return self._inner.value(x)
+
+    def grad(self, x):
+        return self._inner.grad(x)
+
+    def value_and_grad(self, x):
+        return self._inner.value_and_grad(x)
+
+
+@st.composite
+def screening_problems(draw):
+    """Small-integer data, so that ranking values tie often; n >= 10 * s so steps can screen."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(10 * s, 10 * s + 12))
+    m = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = make_rng(seed)
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    if not a.any():
+        a[0, 0] = 1.0
+    if draw(st.booleans()):
+        obj = LeastSquares(a, rng.integers(-3, 4, size=m).astype(float))
+    else:
+        obj = Logistic(a, rng.choice([-1.0, 1.0], size=m))
+    set_ = draw(st.sampled_from(catalog(float(draw(st.sampled_from([0.5, 1.0, 4.0]))))))
+    x0 = np.zeros(n)
+    if set_.variant == "simplex":
+        x0[draw(st.integers(0, n - 1))] = set_.radius
+    return obj, set_, s, x0
+
+
+@settings(max_examples=120, deadline=None)
+@given(screening_problems())
+def test_screened_pg_matches_dense_pg(problem):
+    obj, set_, s, x0 = problem
+    alpha = default_stepsize(obj.lipschitz)
+    screened = pg_solve(obj, set_, s, x0, alpha, max_iter=60, certify=False)
+    dense = pg_solve(PublicProtocol(obj), set_, s, x0, alpha, max_iter=60, certify=False)
+    assert dense.screened_steps == 0
+    assert screened.iterations == dense.iterations
+    assert screened.stop_reason == dense.stop_reason
+    for ours, theirs in zip(screened.records, dense.records):
+        assert np.array_equal(ours.support, theirs.support)
+        assert ours.f_value == theirs.f_value
+    assert np.array_equal(screened.x_final, dense.x_final)
+
+
+def test_screening_covers_table2_pg_after_the_first_steps():
+    inst = gen_instance("logistic", 500, 1000, 2000)
+    alpha = default_stepsize(inst.objective.lipschitz)
+    trace = pg_solve(inst.objective, inst.set_, inst.s, inst.x0, alpha, max_iter=250, certify=False)
+    assert trace.iterations == 250
+    assert trace.screened_steps >= 248
+
+
+def test_stop_reason():
+    obj = quadratic([3.0, 1.0])
+    capped = pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.5, max_iter=2)
+    assert (capped.iterations, capped.stop_reason) == (2, "max_iter")
+    done = pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.5)
+    assert done.stop_reason == "converged" and done.iterations > 2
+    # the last allowed iteration meets f_tol: converged, not capped
+    last = pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.5, max_iter=done.iterations)
+    assert (last.iterations, last.stop_reason) == (done.iterations, "converged")
+
+    config = small_config(obj.lipschitz)
+    done = npg_solve(obj, full_space(), 1, np.array([0.0, 1.0]), config)
+    assert done.stop_reason == "converged" and done.iterations > 1
+    assert done.screened_steps == 0
+    capped = npg_solve(
+        obj, full_space(), 1, np.array([0.0, 1.0]), small_config(obj.lipschitz, max_iter=1)
+    )
+    assert (capped.iterations, capped.stop_reason) == (1, "max_iter")
+    last = npg_solve(
+        obj, full_space(), 1, np.array([0.0, 1.0]),
+        small_config(obj.lipschitz, max_iter=done.iterations),
+    )
+    assert (last.iterations, last.stop_reason) == (done.iterations, "converged")
