@@ -101,14 +101,16 @@ class SolverConfig:
 
     def validate_for(self, lipschitz: float) -> None:
         """Check the constraints that depend on the objective's Lipschitz constant."""
-        if not self.tbar < 1.0 / lipschitz:
-            raise ValueError("tbar must be below 1/lipschitz")
+        if not (lipschitz > 0 and self.tbar < 1.0 / lipschitz):
+            raise ValueError("tbar must be below 1/lipschitz for a lipschitz > 0")
         if not self.c1 < 1.0 / self.tbar - lipschitz:
             raise ValueError("c1 must be below 1/tbar - lipschitz")
 
 
 def default_stepsize(lipschitz: float) -> float:
     """The standard stepsize 0.995/L, just below the 1/L the convergence theory allows."""
+    if not lipschitz > 0:
+        raise ValueError(f"lipschitz must be positive, got {lipschitz}")
     return 0.995 / lipschitz
 
 
@@ -390,8 +392,9 @@ def pg_solve(
     """
     x = as_vector(x0)
     _require_start(set_, s, x)
-    if not 0 < alpha < 1.0 / obj.lipschitz:
-        raise ValueError("alpha must lie in (0, 1/lipschitz)")
+    if not (obj.lipschitz > 0 and 0 < alpha < 1.0 / obj.lipschitz):
+        raise ValueError("alpha must lie in (0, 1/lipschitz) for a lipschitz > 0")
+    grid = default_grid(alpha, certify_grid_points)
     if isinstance(obj, _LinearModel) and s <= _DENSE_SHARE * x.size:
         steps = _ScreenedSteps(obj, set_, s)
     else:
@@ -419,9 +422,7 @@ def pg_solve(
 
     certificate = None
     if certify:
-        certificate = check_strong_stationary(
-            obj, set_, s, x, default_grid(alpha, certify_grid_points), certify_tol
-        )
+        certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
     return IterateTrace(
         records=records,
         f_initial=f_initial,
@@ -467,6 +468,7 @@ def npg_solve(
     _require_start(set_, s, x)
     lipschitz = obj.lipschitz
     config.validate_for(lipschitz)
+    grid = default_grid(config.tbar, certify_grid_points)
     backtrack_cap = 2 * max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink) + 50
 
     records: list[IterationRecord] = []
@@ -560,9 +562,7 @@ def npg_solve(
 
     certificate = None
     if certify:
-        certificate = check_strong_stationary(
-            obj, set_, s, x, default_grid(config.tbar, certify_grid_points), certify_tol
-        )
+        certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
     return IterateTrace(
         records=records,
         f_initial=f_initial,

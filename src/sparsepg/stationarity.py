@@ -2,32 +2,24 @@
 
 Three nested optimality conditions are checked numerically on a grid of trial
 stepsizes: *general* (the point is a projection of its own gradient step),
-*strong* (it is the unique projection), and *coordinatewise* (per-support
-fixed points plus a one-coordinate swap test).  The support gap of a gradient
-step is the smallest on-support ranking value minus the largest off-support
-one; its minimum over a stepsize interval has a closed form costing only the
-support size.
+*strong* (it is the unique projection), and *coordinatewise* (a fixed point on
+every size-s super support of its support, decided exactly by the one super
+support that fails first, plus a one-coordinate swap test).  The support gap
+of a gradient step is the smallest on-support ranking value minus the largest
+off-support one; its minimum over a stepsize interval has a closed form
+costing only the support size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateSupportError,
-    _as_dict,
-    _complement,
-    _norm,
-    as_vector,
-    make_rng,
-    support_of,
-)
-from .projection import brute_force_project, certify_unique, project_sparse
+from .core import DegenerateSupportError, _as_dict, _complement, _norm, as_vector, support_of
+from .projection import (_check_sparsity_level, _top_support, brute_force_project,
+                         certify_unique, project_sparse)
 from .sets import SymmetricSet
 from .subroutines import _swap_candidates
 
@@ -44,8 +36,6 @@ __all__ = [
 
 # brute-force uniqueness confirmation is attempted only at this size or below
 _BRUTE_N_LIMIT = 12
-# cap on enumerated size-s super supports before falling back to sampling
-_SUPER_SUPPORT_LIMIT = 10**4
 
 
 @dataclass(frozen=True)
@@ -82,7 +72,17 @@ class StationarityReport:
 
 def default_grid(t_max: float, points: int = 50) -> np.ndarray:
     """Uniform stepsize grid over [0, t_max] including both endpoints."""
+    if not (t_max > 0 and points >= 2):
+        raise ValueError("a stepsize grid needs t_max > 0 and at least 2 points")
     return np.linspace(0.0, t_max, points)
+
+
+def _grid_steps(t_grid) -> np.ndarray:
+    """``t_grid`` as float64 steps, checked to be nonnegative with one of them positive."""
+    ts = np.asarray(t_grid, dtype=np.float64)
+    if not ((ts > 0).any() and (ts >= 0).all()):
+        raise ValueError("t_grid needs nonnegative steps, at least one positive step")
+    return ts
 
 
 def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
@@ -188,7 +188,7 @@ def check_strong_stationary(
     worst = 0.0
     witness = None
     best_drop = 0.0
-    for t in np.asarray(t_grid, dtype=np.float64):
+    for t in _grid_steps(t_grid):
         a = x - t * grad
         proj = project_sparse(set_, s, a, certify_uniqueness=False)
         move = _norm(proj.point - x)
@@ -213,57 +213,35 @@ def check_strong_stationary(
     )
 
 
-def _super_supports(supp: np.ndarray, n: int, s: int) -> list[np.ndarray]:
-    free = _complement(supp, n)
-    need = s - supp.size
-    if need == 0:
-        return [supp]
-    if math.comb(free.size, need) <= _SUPER_SUPPORT_LIMIT:
-        return [
-            np.sort(np.concatenate([supp, np.array(extra, dtype=np.intp)]))
-            for extra in itertools.combinations(free, need)
-        ]
-    warnings.warn(
-        "too many size-s super supports to enumerate; checking a fixed random sample",
-        RuntimeWarning,
-    )
-    rng = make_rng(0)
-    sample = []
-    for _ in range(_SUPER_SUPPORT_LIMIT):
-        extra = rng.choice(free, size=need, replace=False)
-        sample.append(np.sort(np.concatenate([supp, extra.astype(np.intp)])))
-    return sample
-
-
 def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:
     """Per-support fixed-point condition plus the one-coordinate swap inequality.
 
-    Part one asks for a single positive grid step at which every size-``s``
-    super support of x is a fixed point of the restricted projected gradient
-    step.  Part two tries the swap of :func:`coordinate_swap`, on the support
-    counted with the feasibility tolerance, and requires no objective
-    improvement beyond ``tol``.  Failure on the grid does not refute the
-    condition for stepsizes off the grid.
+    Part one asks that every size-``s`` super support T of the support S of x
+    satisfy ``||x_T - P(x_T - t*g_T)|| <= tol``.  On every catalog set this
+    splits into a condition on S and one inequality per off-support j on the
+    ranking value of ``-g_j`` (``full``: g_j = 0; ``simplex``: g_j >= lambda),
+    so only T = S plus the ``s - |S|`` largest of those values is checked, and
+    only at the smallest positive grid step, since ``||x - P(x - t*d)||`` does
+    not decrease in t.  Part two tries the swap of :func:`coordinate_swap` on
+    the support counted with the feasibility tolerance, and requires no
+    objective improvement beyond ``tol``.
     """
     x = as_vector(x)
+    _check_sparsity_level(s, x.size)
     supp = _require_feasible(set_, s, x, tol)
+    ts = _grid_steps(t_grid)
+    t = float(ts[ts > 0].min())
     grad = obj.grad(x)
-    n = x.size
 
-    supports = _super_supports(supp, n, s)
-    positive_ts = [float(t) for t in np.asarray(t_grid, dtype=np.float64) if t > 0]
-    fixed_point_ok = False
-    for t in positive_ts:
-        if all(
-            float(np.linalg.norm(x[T] - set_.project_sub(x[T] - t * grad[T]))) <= tol
-            for T in supports
-        ):
-            fixed_point_ok = True
-            break
-    if not fixed_point_ok:
+    worst = supp
+    if supp.size < s:
+        off = _complement(supp, x.size)
+        extra = off[_top_support(set_.ranking_values(-grad[off]), s - supp.size)]
+        worst = np.union1d(supp, extra)
+    if _norm(x[worst] - set_.project_sub(x[worst] - t * grad[worst])) > tol:
         return False
 
-    if supp.size == 0 or supp.size == n:
+    if supp.size == 0:
         return True
     candidates = _swap_candidates(set_, x, grad, supp)
     fx = obj.value(x)

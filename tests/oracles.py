@@ -1,8 +1,11 @@
 """Independent reference computations used by both unit and acceptance tests."""
 
+import itertools
+
 import numpy as np
 
 from sparsepg import StationarityReport, brute_force_project, project_sparse, support_of
+from sparsepg.subroutines import _swap_candidates
 
 
 def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
@@ -61,6 +64,37 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
             best_drop = drop
             witness = proj.point
     return StationarityReport(general, strong, None, worst, witness)
+
+
+def coordinatewise_by_enumeration(obj, set_, s, x, t_grid, tol):
+    """Reference for ``check_coordinatewise``: every super support at every positive step.
+
+    The fixed-point half passes when, at some positive grid step, every
+    size-``s`` super support T of the support of ``x`` (counted with the
+    feasibility tolerance) satisfies ``||x_T - P(x_T - t*g_T)|| <= tol``; the
+    swap half is that of ``check_coordinatewise``.  ``x`` must be feasible
+    (not checked).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = obj.grad(x)
+    supp = support_of(x, 1e-12 * (1.0 + float(np.abs(x).max())))
+    free = np.setdiff1d(np.arange(x.size), supp)
+    supports = [
+        np.sort(np.concatenate([supp, np.array(extra, dtype=np.intp)]))
+        for extra in itertools.combinations(free, s - supp.size)
+    ]
+
+    def fixed_at(t):
+        return all(
+            np.linalg.norm(x[T] - set_.project_sub(x[T] - t * grad[T])) <= tol for T in supports
+        )
+
+    if not any(fixed_at(t) for t in np.asarray(t_grid, dtype=np.float64) if t > 0):
+        return False
+    if supp.size == 0:
+        return True
+    fx = obj.value(x)
+    return fx <= min(obj.value(y) for y in _swap_candidates(set_, x, grad, supp)) + tol
 
 
 def simplex_threshold_reference(x, r):

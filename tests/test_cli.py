@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsepg import load_instance, save_point
+from sparsepg import LeastSquares, load_instance, save_instance, save_point
 from sparsepg.cli import main
 
 
@@ -95,3 +95,15 @@ def test_solver_errors_exit_two(tmp_path, capsys):
     assert code == 2
     missing = tmp_path / "missing.npz"
     assert main(["solve", str(missing), "--method", "pg"]) == 2
+    # a grid without a positive step certifies nothing
+    assert main(["solve", str(inst_path), "--method", "pg", "--grid-points", "0"]) == 2
+    zero_point = tmp_path / "zero.txt"
+    save_point(str(zero_point), np.zeros(inst.n))
+    assert main(["certify", str(inst_path), "--point", str(zero_point)]) == 0
+    assert main(["certify", str(inst_path), "--point", str(zero_point), "--grid-points", "1"]) == 2
+    # an all-zero matrix has Lipschitz constant 0, so no stepsize exists
+    zero_path = tmp_path / "zero.npz"
+    inst.objective = LeastSquares(np.zeros((inst.m, inst.n)), inst.objective.b)
+    save_instance(str(zero_path), inst)
+    assert main(["solve", str(zero_path), "--method", "pg"]) == 2
+    assert main(["solve", str(zero_path), "--method", "npg"]) == 2

@@ -153,6 +153,38 @@ def test_pg_rejects_bad_inputs():
         pg_solve(obj, full_space(), 1, np.zeros(2), alpha=1.5)  # alpha >= 1/L
 
 
+class Unsolvable:
+    """An objective whose every evaluation fails: a solve that starts is a test failure."""
+
+    lipschitz = 1.0
+    dim = 2
+
+    def value(self, x):
+        raise AssertionError("the solve started")
+
+    grad = value_and_grad = value
+
+
+def test_solvers_reject_a_certificate_grid_before_solving():
+    obj, x0, config = Unsolvable(), np.zeros(2), small_config(1.0)
+    for points in (0, 1):
+        with pytest.raises(ValueError, match="grid"):
+            pg_solve(obj, full_space(), 1, x0, alpha=0.5, certify_grid_points=points)
+        with pytest.raises(ValueError, match="grid"):
+            npg_solve(obj, full_space(), 1, x0, config, certify_grid_points=points)
+
+
+def test_zero_lipschitz_is_a_value_error():
+    obj = LeastSquares(np.zeros((3, 4)), np.ones(3))
+    assert obj.lipschitz == 0.0
+    with pytest.raises(ValueError, match="lipschitz"):
+        default_stepsize(obj.lipschitz)
+    with pytest.raises(ValueError, match="lipschitz"):
+        pg_solve(obj, full_space(), 1, np.zeros(4), alpha=0.5)
+    with pytest.raises(ValueError, match="lipschitz"):
+        small_config(1.0).validate_for(0.0)
+
+
 def test_npg_moves_support_to_optimum():
     obj = quadratic([3.0, 1.0])
     config = small_config(obj.lipschitz)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,10 +17,11 @@ from sparsepg import (
     make_rng,
     minimize_support_gap,
     nonneg_orthant,
+    nonneg_simplex,
     project_sparse,
     support_gap,
 )
-from oracles import gap_on_grid, strong_stationary_on_grid
+from oracles import coordinatewise_by_enumeration, gap_on_grid, strong_stationary_on_grid
 
 ALL_SETS = catalog()
 
@@ -291,6 +294,103 @@ def test_check_coordinatewise_zero_gradient():
     obj = quadratic([0.5, 0.5, 0.0])
     grid = default_grid(0.995, 50)
     assert check_coordinatewise(obj, full_space(), 2, [0.5, 0.5, 0.0], grid, 1e-8)
+
+
+class Linear:
+    """f(x) = gradient . x, whose gradient is the same vector at every point."""
+
+    def __init__(self, gradient):
+        self.gradient = np.asarray(gradient, dtype=float)
+
+    def value(self, x):
+        return float(self.gradient @ x)
+
+    def grad(self, x):
+        return self.gradient.copy()
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(catalog(1.0) + catalog(2.0)),
+    st.integers(2, 9),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.integers(2, 5),
+)
+# passing super supports whose off-support gradients tie the multiplier on S:
+# g_j = lambda on the simplex, |g_j| = lambda on the l1 ball
+@example(nonneg_simplex(2.0), 7, 4, 1.0, 3)
+@example(l1_ball(1.0), 7, 13, 1.0, 3)
+def test_check_coordinatewise_matches_the_enumeration(set_, n, seed, t_max, points):
+    # a start with at most s nonzeros often gives ||x||_0 < s, so super
+    # supports are added; small integer gradients, zero half the time, make
+    # ties and exact fixed points likely, and a common multiplier on the
+    # support often makes S itself a fixed point
+    rng = make_rng(seed)
+    s = int(rng.integers(1, n))
+    start = rng.integers(-2, 3, n).astype(float)
+    start[rng.permutation(n)[int(rng.integers(0, s + 1)):]] = 0.0
+    x = project_sparse(set_, s, start).point
+    g = rng.integers(-2, 3, n) * (rng.random(n) < 0.5)
+    on = x != 0
+    g[on] = -int(rng.integers(0, 3)) * (np.sign(x[on]) if set_.kind == "sign-free" else 1)
+    obj = Linear(g.astype(float))
+    grid = default_grid(t_max, points)
+    expected = coordinatewise_by_enumeration(obj, set_, s, x, grid, 1e-8)
+    assert check_coordinatewise(obj, set_, s, x, grid, 1e-8) == expected
+
+
+class SeparableQuadratic:
+    """f(x) = 0.5*||x - center||^2 evaluated entrywise, with no n x n matrix."""
+
+    def __init__(self, center):
+        self.center = np.asarray(center, dtype=float)
+
+    def value(self, x):
+        return 0.5 * float(((x - self.center) ** 2).sum())
+
+    def grad(self, x):
+        return x - self.center
+
+
+def test_check_coordinatewise_finds_the_one_failing_coordinate_among_many():
+    # x = e_0 has C(19999, 2), about 2e8, super supports of size 3; only those
+    # holding coordinate 18 fail, by t * 1e-3 = 2e-5 at the smallest step
+    n = 20_000
+    x = np.zeros(n)
+    x[0] = 1.0
+    center = x.copy()
+    center[18] = 1e-3
+    obj = SeparableQuadratic(center)
+    assert obj.value(center) < obj.value(x)  # center is feasible: ||center||_0 = 2 <= s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not check_coordinatewise(obj, full_space(), 3, x, default_grid(0.995, 50), 1e-8)
+
+
+def test_default_grid_needs_a_positive_step():
+    for t_max, points in [(0.9, 0), (0.9, 1), (0.0, 50), (-1.0, 50), (float("nan"), 50)]:
+        with pytest.raises(ValueError):
+            default_grid(t_max, points)
+
+
+def test_checkers_reject_a_grid_without_a_positive_step():
+    # without a positive step strong holds vacuously: nothing refutes it
+    obj = LeastSquares(np.eye(3), [0.0, 0.0, 5.0])
+    x = [1.0, 0.0, 0.0]
+    for grid in [[], [0.0], [0.0, -0.5]]:
+        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+            with pytest.raises(ValueError, match="positive step"):
+                check(obj, full_space(), 1, x, grid, 1e-8)
+
+
+def test_checkers_reject_a_negative_step():
+    # the global minimizer would fail the general check at t = -5
+    obj = quadratic([3.0, 1.0, 0.0])
+    for grid in [[-5.0, 0.9], [0.5, np.nan]]:
+        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+            with pytest.raises(ValueError, match="nonnegative"):
+                check(obj, full_space(), 1, [3.0, 0.0, 0.0], grid, 1e-8)
 
 
 class RecordingQuadratic:
