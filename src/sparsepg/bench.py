@@ -341,10 +341,23 @@ def save_instance(path: str, inst: Instance) -> None:
     np.savez(path, **arrays)
 
 
+def _require_keys(path: str, kind: str, present, keys: tuple[str, ...]) -> None:
+    missing = [key for key in keys if key not in present]
+    if missing:
+        raise ValueError(f"{path}: missing {kind} {', '.join(missing)}")
+
+
 def load_instance(path: str) -> Instance:
-    """Read an instance written by :func:`save_instance`."""
+    """Read an instance written by :func:`save_instance`.
+
+    A missing array or meta key, or an unknown family, raises ``ValueError``.
+    """
     with np.load(path, allow_pickle=False) as data:
+        _require_keys(path, "array", data.files, ("meta", "matrix", "target", "x0"))
         meta = json.loads(str(data["meta"]))
+        _require_keys(path, "meta key", meta, ("family", "m", "n", "s", "seed", "sigma", "set"))
+        if meta["family"] not in FAMILIES:
+            raise ValueError(f"{path}: unknown family {meta['family']!r}")
         matrix = data["matrix"]
         target = data["target"]
         x0 = data["x0"]

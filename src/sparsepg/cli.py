@@ -118,7 +118,11 @@ def _cmd_bench(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    failed = [row for row in report.rows if row.error]
+    for row in failed:
+        print(f"sparsepg: error: {row.family} seed {row.seed} {row.method}: {row.error}",
+              file=sys.stderr)
+    return SOLVER_ERROR if failed else 0
 
 
 def _cmd_certify(args) -> int:

@@ -6,7 +6,9 @@ logistic regression.
 
 Both are losses of ``p = A @ x`` and share one evaluation path.  Since the
 solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
-support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  The gradient is
+support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
+the columns of its last support, and gathers them again only when S changes:
+at most m * ||x||_0 floats per objective.  The gradient is
 ``A.T @ v`` for the loss derivative ``v`` in ``p``, with one rule on every
 path: its entries on S come from the support columns, ``A[:, S].T @ v``, and
 only the others from the dense product.  ``grad`` and ``value_and_grad`` thus
@@ -65,9 +67,9 @@ class _LinearModel:
     """A loss of ``p = A @ x``: one evaluation path for every objective.
 
     Subclasses supply ``_loss(p)`` and ``_dloss(p)``, the m-vector ``v`` with
-    gradient ``A.T @ v``.  ``value``, ``grad`` and ``value_and_grad`` form
-    ``p`` once per call from the support columns, and ``_gradient`` applies
-    the support-column rule.
+    gradient ``A.T @ v``.  ``value``, ``grad`` and ``value_and_grad`` check
+    ``x`` and form ``p`` once per call in ``_evaluate``, the only place that
+    forms ``A @ x``, and ``_gradient`` applies the support-column rule.
     """
 
     def __init__(self, A):
@@ -75,6 +77,8 @@ class _LinearModel:
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
         self._lipschitz: float | None = None
+        self._supp = np.empty(0, dtype=np.intp)
+        self._cols = self.A[:, self._supp]
 
     @property
     def dim(self) -> int:
@@ -95,27 +99,30 @@ class _LinearModel:
         return g
 
     def _evaluate(self, x) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``p = A @ x``, with the support of ``x`` and the columns of ``A`` there.
+        """``p = A @ x`` of a checked vector, with its support S and ``A[:, S]``.
 
-        Both are None when more than a tenth of the entries are nonzero, and
-        ``p`` is then the dense product.
+        The columns of the last support are kept, and the same support array
+        is returned for as long as S does not change.  Both are None when more
+        than a tenth of the entries are nonzero, and ``p`` is then the dense
+        product.
         """
-        x = as_vector(x, self.dim)
         supp = x.nonzero()[0]
         if supp.size > _DENSE_SHARE * x.size:
             return self.A @ x, None, None
-        cols = self.A[:, supp]
-        return cols @ x[supp], supp, cols
+        # comparing the bytes is exact here, and 30x cheaper than np.array_equal
+        if supp.tobytes() != self._supp.tobytes():
+            self._supp, self._cols = supp, self.A[:, supp]
+        return self._cols @ x[supp], self._supp, self._cols
 
     def value(self, x) -> float:
-        return self._loss(self._evaluate(x)[0])
+        return self._loss(self._evaluate(as_vector(x, self.dim))[0])
 
     def grad(self, x) -> np.ndarray:
-        p, supp, cols = self._evaluate(x)
+        p, supp, cols = self._evaluate(as_vector(x, self.dim))
         return self._gradient(self._dloss(p), supp, cols)
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        p, supp, cols = self._evaluate(x)
+        p, supp, cols = self._evaluate(as_vector(x, self.dim))
         return self._loss(p), self._gradient(self._dloss(p), supp, cols)
 
 

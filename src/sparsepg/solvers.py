@@ -94,10 +94,7 @@ class SolverConfig:
             raise ValueError("M must be an integer in [0, N)")
         if not (isinstance(self.q, int) and 0 < self.q < self.N):
             raise ValueError("q must be an integer in (0, N)")
-        if self.f_tol < 0:
-            raise ValueError("f_tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        _require_stop_rule(self.f_tol, self.max_iter)
 
     def validate_for(self, lipschitz: float) -> None:
         """Check the constraints that depend on the objective's Lipschitz constant."""
@@ -226,11 +223,35 @@ def max_backtracks(lipschitz: float, c2: float, t_max: float, tau_shrink: float)
     return max(math.floor(raw), 1)
 
 
-def _require_start(set_: SymmetricSet, s: int, x0: np.ndarray) -> None:
-    if support_of(x0).size > s:
+def _require_stop_rule(f_tol: float, max_iter: int) -> None:
+    if f_tol < 0:
+        raise ValueError("f_tol must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
+def _start(set_: SymmetricSet, s: int, x0) -> np.ndarray:
+    """``x0`` as a checked vector, or a ValueError unless it is a feasible start."""
+    x = as_vector(x0)
+    if support_of(x).size > s:
         raise ValueError("infeasible start: too many nonzeros")
-    if not set_.contains(x0, 1e-10):
+    if not set_.contains(x, 1e-10):
         raise ValueError("infeasible start: not in the constraint set")
+    return x
+
+
+def _finish(
+    obj, set_: SymmetricSet, s: int, x: np.ndarray, f_initial: float,
+    records: list[IterationRecord], stop_reason: str, start: float, certify: bool,
+    grid: np.ndarray, certify_tol: float, screened_steps: int = 0,
+) -> IterateTrace:
+    """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
+    wall = time.perf_counter() - start
+    certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
+    return IterateTrace(
+        records, f_initial, x, records[-1].f_value, len(records), wall, certificate, stop_reason,
+        screened_steps,
+    )
 
 
 def _require_finite(value: float, k: int, phase: str) -> None:
@@ -292,7 +313,7 @@ class _ScreenedSteps:
     """PG gradients of a linear model, with steps on the support where a bound allows.
 
     ``evaluate`` keeps the loss derivative ``v`` at the iterate and the
-    support columns ``A[:, S]`` (gathered again only when S changes).
+    support S and columns ``A[:, S]`` that the model returns with ``p``.
     ``gradient`` forms the dense gradient and makes it the reference of the
     bound: ``v_ref``, the largest off-support ranking value ``G`` of
     ``-g_ref`` and the largest off-support column norm ``C``, both refreshed
@@ -305,17 +326,12 @@ class _ScreenedSteps:
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
         self.model, self.set_, self.s = model, set_, s
         self.screened = 0
-        self.supp = np.empty(0, dtype=np.intp)
-        self.cols = model.A[:, self.supp]
         self.g_ref: np.ndarray | None = None
         self.norms: np.ndarray | None = None
         self.bound_supp: np.ndarray | None = None  # the support that G and C hold for
 
     def evaluate(self, x: np.ndarray) -> float:
-        supp = x.nonzero()[0]
-        if not np.array_equal(supp, self.supp):
-            self.supp, self.cols = supp, self.model.A[:, supp]
-        p = self.cols @ x[supp]
+        p, self.supp, self.cols = self.model._evaluate(x)
         self.v = self.model._dloss(p)
         return self.model._loss(p)
 
@@ -390,8 +406,8 @@ def pg_solve(
     dimension, a step whose top-s support provably stays on the support of x
     takes the screened O(m * s) path (see the module docstring).
     """
-    x = as_vector(x0)
-    _require_start(set_, s, x)
+    _require_stop_rule(f_tol, max_iter)
+    x = _start(set_, s, x0)
     if not (obj.lipschitz > 0 and 0 < alpha < 1.0 / obj.lipschitz):
         raise ValueError("alpha must lie in (0, 1/lipschitz) for a lipschitz > 0")
     grid = default_grid(alpha, certify_grid_points)
@@ -403,9 +419,8 @@ def pg_solve(
     records: list[IterationRecord] = []
     stop_reason = "max_iter"
     start = time.perf_counter()
-    fx = steps.evaluate(x)
+    f_initial = fx = steps.evaluate(x)
     _require_finite(fx, 0, "initial")
-    f_initial = fx
     for k in range(max_iter):
         y = steps.screened_step(x, alpha)
         if y is None:
@@ -418,21 +433,9 @@ def pg_solve(
         if done:
             stop_reason = "converged"
             break
-    wall = time.perf_counter() - start
-
-    certificate = None
-    if certify:
-        certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
-    return IterateTrace(
-        records=records,
-        f_initial=f_initial,
-        x_final=x,
-        f_final=fx,
-        iterations=len(records),
-        wall_time_seconds=wall,
-        certificate=certificate,
-        stop_reason=stop_reason,
-        screened_steps=steps.screened,
+    return _finish(
+        obj, set_, s, x, f_initial, records, stop_reason, start, certify, grid, certify_tol,
+        steps.screened,
     )
 
 
@@ -461,71 +464,53 @@ def npg_solve(
     Iterates with empty (or full) support skip the first two moves.  Stops on
     the same consecutive-objective criterion as ``pg_solve``.  A non-finite
     objective value raises ``FloatingPointError`` naming the iteration and the
-    phase (``initial``, ``swap``, ``support change`` or ``trial``).
+    phase (``initial``, ``swap``, ``support change`` or ``trial``), and a trial
+    that needs more than ``max_backtracks`` shrinks raises ``RuntimeError``.
     """
-    x = as_vector(x0)
+    x = _start(set_, s, x0)
     n = x.size
-    _require_start(set_, s, x)
     lipschitz = obj.lipschitz
     config.validate_for(lipschitz)
     grid = default_grid(config.tbar, certify_grid_points)
-    backtrack_cap = 2 * max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink) + 50
+    bound = max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink)
 
     records: list[IterationRecord] = []
-    start = time.perf_counter()
-    fx, g = obj.value_and_grad(x)
-    _require_finite(fx, 0, "initial")
-    f_initial = fx
-    f_hist = [fx]
-    x_prev: np.ndarray | None = None
-    g_prev: np.ndarray | None = None
     stop_reason = "max_iter"
-
+    start = time.perf_counter()
+    f_initial, g = obj.value_and_grad(x)
+    _require_finite(f_initial, 0, "initial")
+    f_hist = [f_initial]
+    x_prev = g_prev = None
     for k in range(config.max_iter):
-        card = np.count_nonzero(x)
-        degenerate = card == 0 or card == n
-        x_new: np.ndarray | None = None
-        f_new = math.nan
+        moving = 0 < np.count_nonzero(x) < n
         rec: IterationRecord | None = None
-
-        if k % config.N == 0 and not degenerate:
+        if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
-                f_new = obj.value(y)
-                _require_finite(f_new, k, "swap")
-                rec = _record(k, "swap", f_new, None, y, x, set_)
-                x_new = y
-        elif k % config.N == config.q and not degenerate:
+                f_y = obj.value(y)
+                _require_finite(f_y, k, "swap")
+                x_new, rec = y, _record(k, "swap", f_y, None, y, x, set_)
+        elif k % config.N == config.q and moving:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
                 beta = gap.step
                 xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
                 f_xt = obj.value(xt)
                 _require_finite(f_xt, k, "support change")
-                xt_card = np.count_nonzero(xt)
-                if 0 < xt_card < n:
+                if 0 < np.count_nonzero(xt) < n:
                     xh = change_support(obj, set_, s, xt, beta)
                     f_xh = obj.value(xh)
                     _require_finite(f_xh, k, "support change")
                     dist_sq = float(((xh - xt) ** 2).sum())
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
-                        rec = _record(
-                            k,
-                            "support_change_accept_hx",
-                            f_xh,
-                            beta,
-                            xh,
-                            x,
-                            set_,
-                            projstep_value=f_xt,
-                            projstep_dist_sq=dist_sq,
+                        x_new, rec = xh, _record(
+                            k, "support_change_accept_hx", f_xh, beta, xh, x, set_,
+                            projstep_value=f_xt, projstep_dist_sq=dist_sq,
                         )
-                        x_new, f_new = xh, f_xh
-                if x_new is None and beta > 0:
-                    rec = _record(k, "support_change_accept_tx", f_xt, beta, xt, x, set_)
-                    x_new, f_new = xt, f_xt
+                if rec is None and beta > 0:
+                    x_new, rec = xt, _record(k, "support_change_accept_tx", f_xt, beta, xt, x, set_)
 
-        if x_new is None:
+        if rec is None:
             if x_prev is None:
                 t_trial = min(config.t_max, max(config.t_min, 1.0))
             else:
@@ -540,36 +525,22 @@ def npg_solve(
                     break
                 t_trial *= config.tau_shrink
                 backtracks += 1
-                if backtracks > backtrack_cap:
-                    raise RuntimeError("backtracking failed to terminate")
-            rec = _record(
+                if backtracks > bound:
+                    raise RuntimeError(
+                        f"backtracking at iteration {k} exceeded max_backtracks = {bound}; "
+                        f"the objective's lipschitz {lipschitz!r} is likely understated"
+                    )
+            x_new, rec = w, _record(
                 k, "projected_gradient", fw, t_trial, w, x, set_, backtracks=backtracks
             )
-            x_new, f_new = w, fw
 
         records.append(rec)
-        x_prev, g_prev = x, g
-        f_prev = f_hist[-1]
-        x = x_new
-        f_hist.append(f_new)
-        if abs(f_new - f_prev) <= config.f_tol:
-            fx = f_new
+        f_hist.append(rec.f_value)
+        x_prev, g_prev, x = x, g, x_new
+        if abs(f_hist[-1] - f_hist[-2]) <= config.f_tol:
             stop_reason = "converged"
             break
-        fx = f_new
         g = obj.grad(x)
-    wall = time.perf_counter() - start
-
-    certificate = None
-    if certify:
-        certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
-    return IterateTrace(
-        records=records,
-        f_initial=f_initial,
-        x_final=x,
-        f_final=fx,
-        iterations=len(records),
-        wall_time_seconds=wall,
-        certificate=certificate,
-        stop_reason=stop_reason,
+    return _finish(
+        obj, set_, s, x, f_initial, records, stop_reason, start, certify, grid, certify_tol
     )

@@ -107,3 +107,24 @@ def test_solver_errors_exit_two(tmp_path, capsys):
     save_instance(str(zero_path), inst)
     assert main(["solve", str(zero_path), "--method", "pg"]) == 2
     assert main(["solve", str(zero_path), "--method", "npg"]) == 2
+    # every bench row fails: the CSV is written as before, and each error goes to stderr
+    capsys.readouterr()
+    code, out, err = run_cli(
+        capsys, "bench", "--family", "cs-least-squares", "--m", "20", "--n", "64", "--s", "3",
+        "--grid-points", "0",
+    )
+    assert code == 2
+    assert out.splitlines()[1:] == [f"cs-least-squares,20,64,3,{m},0,,,,," for m in ("pg", "npg")]
+    assert err.count("grid") == 2
+    # malformed instance files: a missing array, and an unknown family
+    no_meta = tmp_path / "no_meta.npz"
+    np.savez(no_meta, matrix=np.eye(3))
+    with np.load(inst_path) as data:
+        arrays = dict(data)
+    arrays["meta"] = np.array(json.dumps({**json.loads(str(arrays["meta"])), "family": "foo"}))
+    foo = tmp_path / "foo.npz"
+    np.savez(foo, **arrays)
+    for path, named in [(no_meta, "meta"), (foo, "'foo'")]:
+        for method in ("pg", "npg"):
+            code, _, err = run_cli(capsys, "solve", str(path), "--method", method)
+            assert code == 2 and named in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsepg import LeastSquares, Logistic, gen_instance, make_rng
 
@@ -187,6 +188,55 @@ def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros)
             value, both_grad = obj.value_and_grad(x)
             assert value == obj.value(x)
             assert np.array_equal(both_grad, grad)
+
+
+@st.composite
+def support_walks(draw):
+    """A linear model and points whose supports repeat, alternate and change size.
+
+    Supports hold up to a fifth of n entries, so the walk also crosses the
+    tenth of n above which the dense product is formed.
+    """
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 8)), draw(st.integers(10, 40))
+    a = rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        data = (a, rng.choice([-1.0, 1.0], size=m))
+        model = Logistic
+    else:
+        data = (a, rng.standard_normal(m))
+        model = LeastSquares
+    support = st.lists(st.integers(0, n - 1), max_size=n // 5, unique=True)
+    supports = draw(st.lists(support, min_size=1, max_size=4))
+    methods = st.permutations(["value", "grad", "value_and_grad"])
+    steps = draw(st.lists(st.tuples(st.sampled_from(supports), methods), min_size=1, max_size=12))
+    points = []
+    for supp, order in steps:
+        x = np.zeros(n)
+        x[supp] = rng.standard_normal(len(supp))
+        points.append((x, order))
+    return model, data, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_walks())
+def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
+    model, data, points = walk
+    obj = model(*data)
+    last = None  # the support array of the last evaluation on the support columns
+    for x, order in points:
+        fresh = model(*data)
+        for method in order:
+            got, want = getattr(obj, method)(x), getattr(fresh, method)(x)
+            if method == "value_and_grad":
+                assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            else:
+                assert np.array_equal(got, want)
+        supp = obj._evaluate(x)[1]
+        if supp is not None:
+            assert (supp is last) == (last is not None and np.array_equal(supp, last))
+            assert np.array_equal(supp, x.nonzero()[0])
+            last = supp
 
 
 def test_logistic_lipschitz_equals_label_scaled_estimate():

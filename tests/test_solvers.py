@@ -151,6 +151,14 @@ def test_pg_rejects_bad_inputs():
         pg_solve(obj, full_space(), 1, np.array([1.0, 1.0]), alpha=0.9)  # infeasible x0
     with pytest.raises(ValueError):
         pg_solve(obj, full_space(), 1, np.zeros(2), alpha=1.5)  # alpha >= 1/L
+    # the stopping rule is checked as SolverConfig checks it for npg_solve
+    for bad, message in [
+        (dict(max_iter=0), "max_iter must be positive"),
+        (dict(max_iter=-3), "max_iter must be positive"),
+        (dict(f_tol=-1.0), "f_tol must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.5, **bad)
 
 
 class Unsolvable:
@@ -256,6 +264,18 @@ def test_max_backtracks_formula():
     # L=1, c2=1e-4, t_max=1e8, shrink=0.5: floor(log((1+1e-4)*1e8)/log 2 + 2)
     assert max_backtracks(1.0, 1e-4, 1e8, 0.5) == 28
     assert max_backtracks(1e-9, 1e-9, 1.0, 0.5) == 1  # formula floor goes negative
+
+
+def test_npg_enforces_the_backtracking_bound():
+    # f = 0.5 ||1e5 x - b||^2 has L = 1e10, but the objective reports L = 1:
+    # from t = 1 the first trial needs 33 halvings, and the bound for L = 1 is 28
+    class Understated(LeastSquares):
+        lipschitz = 1.0
+
+    obj = Understated(1e5 * np.eye(3), np.array([3e5, 1e5, 2e5]))
+    config = benchmark_config(1.0, 4, 5, 3, max_iter=50)
+    with pytest.raises(RuntimeError, match=r"iteration 0 .*max_backtracks = 28.*lipschitz"):
+        npg_solve(obj, full_space(), 2, np.zeros(3), config)
 
 
 class NanAwayFromStart:
