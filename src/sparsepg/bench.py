@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _as_dict, as_vector, make_rng, support_of
+from .core import _Record, as_vector, make_rng, support_of
 from .objectives import LeastSquares, Logistic
+from .projection import _check_sparsity_level
 from .sets import SymmetricSet, full_space, nonneg_simplex, parse_set
 from .solvers import IterateTrace, benchmark_config, default_stepsize, npg_solve, pg_solve
 
@@ -25,7 +26,6 @@ __all__ = [
     "BenchRow",
     "BenchReport",
     "FAMILIES",
-    "NPG_SCHEDULE",
     "gen_cs_instance",
     "gen_logistic_instance",
     "gen_simplex_instance",
@@ -46,20 +46,6 @@ NPG_SCHEDULE = {
     "logistic": (2, 3, 2),
     "simplex-least-squares": (3, 4, 3),
 }
-
-CSV_COLUMNS = [
-    "family",
-    "m",
-    "n",
-    "s",
-    "method",
-    "seed",
-    "cardinality",
-    "objective",
-    "time_s",
-    "strong_stationary",
-    "violation",
-]
 
 
 @dataclass
@@ -91,8 +77,9 @@ def gen_cs_instance(m: int, n: int, s: int, sigma: float, rng: np.random.Generat
     Draw order: sensing matrix, planted support, signs, noise.  The start
     point is the origin and the set is all of R^n.
     """
-    if not (m < n and 0 < s < n):
-        raise ValueError("need m < n and 0 < s < n")
+    if not m < n:
+        raise ValueError("need m < n")
+    _check_sparsity_level(s, n)
     a = _orthonormal_rows(n, m, rng)
     support = np.sort(rng.choice(n, size=s, replace=False))
     truth = np.zeros(n)
@@ -127,6 +114,7 @@ def gen_logistic_instance(
         raise ValueError("m must be even")
     if s is None:
         s = max(1, round(0.01 * n))
+    _check_sparsity_level(s, n)
     half = m // 2
     mu_pos = float(rng.uniform(0.0, 1.0))
     mu_neg = float(rng.uniform(-1.0, 0.0))
@@ -162,6 +150,7 @@ def gen_simplex_instance(
         raise ValueError("need m < n")
     if s is None:
         s = max(1, round(0.01 * n))
+    _check_sparsity_level(s, n)
     base = _orthonormal_rows(n, m, rng)
     scale = np.arange(1, m + 1, dtype=np.float64) ** 2
     a = base * scale[:, None]
@@ -201,7 +190,7 @@ def gen_instance(
 
 
 @dataclass
-class BenchRow:
+class BenchRow(_Record):
     """One (instance, method) result; a failed solve leaves the results None and sets ``error``."""
 
     family: str
@@ -217,8 +206,9 @@ class BenchRow:
     violation: float | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return _as_dict(self)
+
+# the CSV leaves out ``error``; the JSON report keeps it
+CSV_COLUMNS = [f.name for f in fields(BenchRow) if f.name != "error"]
 
 
 @dataclass
@@ -350,7 +340,9 @@ def _require_keys(path: str, kind: str, present, keys: tuple[str, ...]) -> None:
 def load_instance(path: str) -> Instance:
     """Read an instance written by :func:`save_instance`.
 
-    A missing array or meta key, or an unknown family, raises ``ValueError``.
+    A missing array or meta key, an unknown family, meta ``m`` and ``n`` that
+    disagree with the arrays, an ``s`` that is not an integer in 1..n-1, or
+    arrays no objective or set accepts raise a ``ValueError`` naming the file.
     """
     with np.load(path, allow_pickle=False) as data:
         _require_keys(path, "array", data.files, ("meta", "matrix", "target", "x0"))
@@ -362,10 +354,17 @@ def load_instance(path: str) -> Instance:
         target = data["target"]
         x0 = data["x0"]
         truth = data["ground_truth"] if "ground_truth" in data.files else None
-    if meta["family"] == "logistic":
-        objective: LeastSquares | Logistic = Logistic(matrix, target)
-    else:
-        objective = LeastSquares(matrix, target)
+    try:
+        if matrix.shape != (meta["m"], meta["n"]):
+            raise ValueError(f"meta m={meta['m']}, n={meta['n']} disagree with the "
+                             f"matrix shape {matrix.shape}")
+        _check_sparsity_level(meta["s"], meta["n"])
+        x0 = as_vector(x0, meta["n"])
+        set_ = parse_set(meta["set"])
+        model = Logistic if meta["family"] == "logistic" else LeastSquares
+        objective = model(matrix, target)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return Instance(
         family=meta["family"],
         m=meta["m"],
@@ -373,8 +372,8 @@ def load_instance(path: str) -> Instance:
         s=meta["s"],
         seed=meta["seed"],
         objective=objective,
-        set_=parse_set(meta["set"]),
-        x0=np.asarray(x0, dtype=np.float64),
+        set_=set_,
+        x0=x0,
         ground_truth=None if truth is None else np.asarray(truth, dtype=np.float64),
         sigma=meta["sigma"],
     )

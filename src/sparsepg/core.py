@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 import numpy as np
 
-__all__ = [
-    "DegenerateSupportError",
-    "as_vector",
-    "support_of",
-    "sorting_permutation",
-    "make_rng",
-]
+__all__ = ["DegenerateSupportError", "support_of", "sorting_permutation", "make_rng"]
 
 
 class DegenerateSupportError(ValueError):
@@ -68,9 +62,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _as_dict(record) -> dict:
-    """A dataclass as a dict in field order: arrays become lists, nested dataclasses dicts."""
-    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+class _Record:
+    """Mixin of the report dataclasses: ``to_dict`` with arrays as lists, nested records as dicts."""
+
+    def to_dict(self) -> dict:
+        """The fields in declaration order."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _plain(value):
@@ -78,4 +75,4 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, list):
         return [_plain(v) for v in value]
-    return _as_dict(value) if is_dataclass(value) else value
+    return value.to_dict() if isinstance(value, _Record) else value

@@ -33,8 +33,8 @@ class SparseProjection:
 
 
 def _check_sparsity_level(s: int, n: int) -> None:
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"sparsity level must satisfy 1 <= s <= n-1, got s={s}, n={n}")
+    if not (isinstance(s, (int, np.integer)) and 1 <= s <= n - 1):
+        raise ValueError(f"sparsity level must be an integer in 1..n-1, got s={s!r}, n={n}")
 
 
 def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:

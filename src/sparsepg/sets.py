@@ -124,8 +124,8 @@ class SymmetricSet:
     def __post_init__(self):
         if self.variant not in _SIGN_FREE | _NONNEGATIVE:
             raise ValueError(f"unknown set variant {self.variant!r}")
-        if self.variant not in _RADIUS_FREE and not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if self.variant not in _RADIUS_FREE and not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     @property
     def kind(self) -> str:
@@ -270,7 +270,10 @@ def catalog(radius: float = 1.0) -> list[SymmetricSet]:
 
 
 def parse_set(text: str) -> SymmetricSet:
-    """Parse ``full | nonneg | simplex[:r] | l1ball:<r> | l2ball:<r> | nonneg-l1ball:<r> | nonneg-l2ball:<r>``."""
+    """Parse ``full | nonneg | simplex[:r] | l1ball[:r] | l2ball[:r] | nonneg-l1ball[:r] | nonneg-l2ball[:r]``.
+
+    The radius ``r`` defaults to 1 and must be positive and finite.
+    """
     name, _, rad = text.strip().partition(":")
     if name not in _SIGN_FREE | _NONNEGATIVE:
         raise ValueError(f"unknown set {text!r}")

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_dict, _norm, as_vector, support_of
-from .objectives import _DENSE_SHARE, _LinearModel
-from .projection import project_sparse
+from .core import _norm, _Record, as_vector, support_of
+from .objectives import _LinearModel
+from .projection import _check_sparsity_level, project_sparse
 from .sets import SymmetricSet
 from .stationarity import (
     StationarityReport,
@@ -139,7 +139,7 @@ def benchmark_config(
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(_Record):
     """One accepted outer iteration.
 
     ``step_kind`` is one of ``swap``, ``support_change_accept_hx``,
@@ -162,12 +162,9 @@ class IterationRecord:
     projstep_value: float | None = None
     projstep_dist_sq: float | None = None
 
-    def to_dict(self) -> dict:
-        return _as_dict(self)
-
 
 @dataclass
-class IterateTrace:
+class IterateTrace(_Record):
     """Per-iteration records plus the final state and optional certificate.
 
     ``stop_reason`` is ``"converged"`` when the last iteration met the
@@ -190,9 +187,6 @@ class IterateTrace:
     def f_values(self) -> np.ndarray:
         """Objective values of all iterates, starting point first."""
         return np.array([self.f_initial] + [r.f_value for r in self.records])
-
-    def to_dict(self) -> dict:
-        return _as_dict(self)
 
 
 def bb_initial_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
@@ -230,9 +224,10 @@ def _require_stop_rule(f_tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be positive")
 
 
-def _start(set_: SymmetricSet, s: int, x0) -> np.ndarray:
-    """``x0`` as a checked vector, or a ValueError unless it is a feasible start."""
-    x = as_vector(x0)
+def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
+    """``x0`` as a checked vector, or a ValueError unless ``s`` is valid and it is a feasible start."""
+    x = as_vector(x0, obj.dim)
+    _check_sparsity_level(s, x.size)
     if support_of(x).size > s:
         raise ValueError("infeasible start: too many nonzeros")
     if not set_.contains(x, 1e-10):
@@ -336,9 +331,12 @@ class _ScreenedSteps:
         return self.model._loss(p)
 
     def screened_step(self, x: np.ndarray, alpha: float) -> np.ndarray | None:
-        """The PG step projected on S alone, or None unless the bound proves S is the top-s support."""
+        """The PG step projected on S alone, or None unless the bound proves S is the top-s support.
+
+        None also when the model evaluated ``x`` densely, without a support.
+        """
         supp = self.supp
-        if self.g_ref is None or supp.size != self.s:
+        if self.g_ref is None or supp is None or supp.size != self.s:
             return None
         if self.bound_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
@@ -407,14 +405,11 @@ def pg_solve(
     takes the screened O(m * s) path (see the module docstring).
     """
     _require_stop_rule(f_tol, max_iter)
-    x = _start(set_, s, x0)
+    x = _start(obj, set_, s, x0)
     if not (obj.lipschitz > 0 and 0 < alpha < 1.0 / obj.lipschitz):
         raise ValueError("alpha must lie in (0, 1/lipschitz) for a lipschitz > 0")
     grid = default_grid(alpha, certify_grid_points)
-    if isinstance(obj, _LinearModel) and s <= _DENSE_SHARE * x.size:
-        steps = _ScreenedSteps(obj, set_, s)
-    else:
-        steps = _DenseSteps(obj)
+    steps = _ScreenedSteps(obj, set_, s) if isinstance(obj, _LinearModel) else _DenseSteps(obj)
 
     records: list[IterationRecord] = []
     stop_reason = "max_iter"
@@ -461,14 +456,13 @@ def npg_solve(
       the objective drops ``c2/2 * move^2`` below the worst of the last
       ``M+1`` values.
 
-    Iterates with empty (or full) support skip the first two moves.  Stops on
+    Iterates with empty support skip the first two moves.  Stops on
     the same consecutive-objective criterion as ``pg_solve``.  A non-finite
     objective value raises ``FloatingPointError`` naming the iteration and the
     phase (``initial``, ``swap``, ``support change`` or ``trial``), and a trial
     that needs more than ``max_backtracks`` shrinks raises ``RuntimeError``.
     """
-    x = _start(set_, s, x0)
-    n = x.size
+    x = _start(obj, set_, s, x0)
     lipschitz = obj.lipschitz
     config.validate_for(lipschitz)
     grid = default_grid(config.tbar, certify_grid_points)
@@ -482,7 +476,7 @@ def npg_solve(
     f_hist = [f_initial]
     x_prev = g_prev = None
     for k in range(config.max_iter):
-        moving = 0 < np.count_nonzero(x) < n
+        moving = np.count_nonzero(x) > 0
         rec: IterationRecord | None = None
         if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
@@ -497,7 +491,7 @@ def npg_solve(
                 xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
                 f_xt = obj.value(xt)
                 _require_finite(f_xt, k, "support change")
-                if 0 < np.count_nonzero(xt) < n:
+                if np.count_nonzero(xt) > 0:
                     xh = change_support(obj, set_, s, xt, beta)
                     f_xh = obj.value(xh)
                     _require_finite(f_xh, k, "support change")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSupportError, _as_dict, _complement, _norm, as_vector, support_of
+from .core import DegenerateSupportError, _complement, _norm, _Record, as_vector, support_of
 from .projection import (_check_sparsity_level, _top_support, brute_force_project,
                          certify_unique, project_sparse)
 from .sets import SymmetricSet
@@ -51,7 +51,7 @@ class GapMinimum:
 
 
 @dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(_Record):
     """Outcome of the stationarity checks at a given point.
 
     ``coordinatewise`` is None when that condition was not evaluated.
@@ -65,9 +65,6 @@ class StationarityReport:
     coordinatewise: bool | None
     worst_violation: float
     witness: np.ndarray | None
-
-    def to_dict(self) -> dict:
-        return _as_dict(self)
 
 
 def default_grid(t_max: float, points: int = 50) -> np.ndarray:
@@ -147,6 +144,8 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
 
 
 def _require_feasible(set_: SymmetricSet, s: int, x: np.ndarray, tol: float) -> np.ndarray:
+    """The support of ``x`` counted with a tiny tolerance; a ValueError unless s and x are valid."""
+    _check_sparsity_level(s, x.size)
     supp_tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
     supp = support_of(x, supp_tol)
     if supp.size > s:
@@ -227,7 +226,6 @@ def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float)
     objective improvement beyond ``tol``.
     """
     x = as_vector(x)
-    _check_sparsity_level(s, x.size)
     supp = _require_feasible(set_, s, x, tol)
     ts = _grid_steps(t_grid)
     t = float(ts[ts > 0].min())

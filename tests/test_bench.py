@@ -17,7 +17,7 @@ from sparsepg import (
     save_point,
     support_of,
 )
-from sparsepg.bench import BenchRow
+from sparsepg.bench import CSV_COLUMNS, BenchRow
 
 
 def test_cs_instance_construction():
@@ -36,6 +36,21 @@ def test_cs_instance_rejects_bad_shapes():
         gen_cs_instance(100, 50, 5, 0.1, make_rng(0))
     with pytest.raises(ValueError):
         gen_cs_instance(30, 100, 0, 0.1, make_rng(0))
+
+
+@pytest.mark.parametrize("generate", [
+    lambda s, rng: gen_cs_instance(20, 64, s, 0.1, rng),
+    lambda s, rng: gen_logistic_instance(20, 64, rng, s=s),
+    lambda s, rng: gen_simplex_instance(20, 64, rng, s=s),
+], ids=["cs", "logistic", "simplex"])
+def test_generators_reject_invalid_sparsity_levels_before_drawing(generate):
+    for s in (0, 64, -2, 600):
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sparsity level"):
+            generate(s, rng)
+        assert rng.bit_generator.state == state
+    assert generate(63, make_rng(0)).s == 63
 
 
 def test_cs_noiseless_instance_is_solvable_to_zero():
@@ -206,6 +221,7 @@ def test_row_dict_key_order():
         strong_stationary=True, violation=0.0,
     )
     assert list(row.to_dict()) == keys
+    assert CSV_COLUMNS == keys[:-1]
     assert row.to_dict()["error"] is None
     bad = gen_instance("cs-least-squares", 20, 64, seed=1, s=3)
     bad.x0 = np.ones(64)

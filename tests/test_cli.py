@@ -116,15 +116,38 @@ def test_solver_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert out.splitlines()[1:] == [f"cs-least-squares,20,64,3,{m},0,,,,," for m in ("pg", "npg")]
     assert err.count("grid") == 2
-    # malformed instance files: a missing array, and an unknown family
+    # invalid sparsity levels are configuration errors, before any file is written
+    for family, s in [("simplex-least-squares", "0"), ("simplex-least-squares", "-2"),
+                      ("simplex-least-squares", "600"), ("logistic", "0")]:
+        bad_out = tmp_path / f"{family}{s}.npz"
+        code, _, err = run_cli(capsys, "gen", "--family", family, "--m", "20", "--n", "64",
+                               "--s", s, "--out", str(bad_out))
+        assert code == 2 and "sparsity level" in err and "Traceback" not in err
+        assert not bad_out.exists()
+    # malformed instance files: a missing array, an unknown family, meta that
+    # disagrees with the arrays or breaks the sparsity rule, an infinite radius
     no_meta = tmp_path / "no_meta.npz"
     np.savez(no_meta, matrix=np.eye(3))
     with np.load(inst_path) as data:
         arrays = dict(data)
-    arrays["meta"] = np.array(json.dumps({**json.loads(str(arrays["meta"])), "family": "foo"}))
-    foo = tmp_path / "foo.npz"
-    np.savez(foo, **arrays)
-    for path, named in [(no_meta, "meta"), (foo, "'foo'")]:
+    meta = json.loads(str(arrays["meta"]))
+
+    def rewritten(name, x0=arrays["x0"], **changes):
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, **{**arrays, "x0": x0, "meta": np.array(json.dumps({**meta, **changes}))})
+        return path
+
+    for path, named in [
+        (no_meta, "meta"),
+        (rewritten("foo", family="foo"), "'foo'"),
+        (rewritten("shape", m=7, n=9), "m=7, n=9"),
+        (rewritten("x0", x0=np.zeros(9)), "length 64"),
+        (rewritten("s0", s=0), "s=0"),
+        (rewritten("sn", s=64), "s=64"),
+        (rewritten("s_float", s=3.5), "s=3.5"),
+        (rewritten("s_text", s="3"), "s='3'"),
+        (rewritten("inf", set="simplex:inf"), "radius"),
+    ]:
         for method in ("pg", "npg"):
             code, _, err = run_cli(capsys, "solve", str(path), "--method", method)
-            assert code == 2 and named in err and "Traceback" not in err
+            assert code == 2 and str(path) in err and named in err and "Traceback" not in err

@@ -203,12 +203,12 @@ def test_parse_round_trip():
     for set_ in ALL_SETS + [l1_ball(2.5), nonneg_simplex(3.0)]:
         assert parse_set(str(set_)) == set_
     assert parse_set("l1ball:2.5").radius == 2.5
-    with pytest.raises(ValueError):
-        parse_set("cube")
-    with pytest.raises(ValueError):
-        parse_set("full:2")
-    with pytest.raises(ValueError):
-        parse_set("l1ball:-1")
+    assert parse_set("l1ball") == l1_ball(1.0)  # the radius defaults to 1
+    for text in ("cube", "full:2", "l1ball:-1", "simplex:inf", "l2ball:nan"):
+        with pytest.raises(ValueError):
+            parse_set(text)
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricSet("nonneg-l2ball", np.inf)
 
 
 def test_constraint_gaps():

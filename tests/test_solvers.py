@@ -11,6 +11,8 @@ from sparsepg import (
     bb_initial_stepsize,
     benchmark_config,
     catalog,
+    check_strong_stationary,
+    default_grid,
     default_stepsize,
     full_space,
     gen_cs_instance,
@@ -149,6 +151,8 @@ def test_pg_rejects_bad_inputs():
     obj = quadratic([3.0, 1.0])
     with pytest.raises(ValueError):
         pg_solve(obj, full_space(), 1, np.array([1.0, 1.0]), alpha=0.9)  # infeasible x0
+    with pytest.raises(ValueError, match="expected length 2"):
+        pg_solve(obj, full_space(), 1, np.r_[np.zeros(9), 1.0], alpha=0.5)
     with pytest.raises(ValueError):
         pg_solve(obj, full_space(), 1, np.zeros(2), alpha=1.5)  # alpha >= 1/L
     # the stopping rule is checked as SolverConfig checks it for npg_solve
@@ -180,6 +184,17 @@ def test_solvers_reject_a_certificate_grid_before_solving():
             pg_solve(obj, full_space(), 1, x0, alpha=0.5, certify_grid_points=points)
         with pytest.raises(ValueError, match="grid"):
             npg_solve(obj, full_space(), 1, x0, config, certify_grid_points=points)
+
+
+def test_sparsity_level_n_is_rejected_before_any_evaluation():
+    obj, x0 = Unsolvable(), np.zeros(2)
+    for call in (
+        lambda: pg_solve(obj, full_space(), 2, x0, alpha=0.5),
+        lambda: npg_solve(obj, full_space(), 2, x0, small_config(1.0)),
+        lambda: check_strong_stationary(obj, full_space(), 2, x0, default_grid(0.5), 1e-6),
+    ):
+        with pytest.raises(ValueError, match="sparsity level"):
+            call()
 
 
 def test_zero_lipschitz_is_a_value_error():
@@ -335,9 +350,13 @@ class PublicProtocol:
 
 @st.composite
 def screening_problems(draw):
-    """Small-integer data, so that ranking values tie often; n >= 10 * s so steps can screen."""
+    """Small-integer data, so that ranking values tie often.
+
+    Steps can screen only when n >= 10 * s; below that the linear models
+    still take the screened-steps path, which then never screens.
+    """
     s = draw(st.integers(1, 3))
-    n = draw(st.integers(10 * s, 10 * s + 12))
+    n = draw(st.integers(s + 1, 10 * s + 12))
     m = draw(st.integers(2, 12))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = make_rng(seed)
@@ -363,6 +382,8 @@ def test_screened_pg_matches_dense_pg(problem):
     screened = pg_solve(obj, set_, s, x0, alpha, max_iter=60, certify=False)
     dense = pg_solve(PublicProtocol(obj), set_, s, x0, alpha, max_iter=60, certify=False)
     assert dense.screened_steps == 0
+    if x0.size < 10 * s:
+        assert screened.screened_steps == 0
     assert screened.iterations == dense.iterations
     assert screened.stop_reason == dense.stop_reason
     for ours, theirs in zip(screened.records, dense.records):
