@@ -66,6 +66,10 @@ class Instance:
 
 def _orthonormal_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m x n matrix with orthonormal rows spanning the range of a Gaussian n x m draw."""
+    if not m < n:
+        raise ValueError("need m < n")
+    if m <= 0:
+        raise ValueError("m must be positive")
     w = rng.standard_normal((n, m))
     q, _ = np.linalg.qr(w)
     return q.T
@@ -77,8 +81,8 @@ def gen_cs_instance(m: int, n: int, s: int, sigma: float, rng: np.random.Generat
     Draw order: sensing matrix, planted support, signs, noise.  The start
     point is the origin and the set is all of R^n.
     """
-    if not m < n:
-        raise ValueError("need m < n")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     _check_sparsity_level(s, n)
     a = _orthonormal_rows(n, m, rng)
     support = np.sort(rng.choice(n, size=s, replace=False))
@@ -112,6 +116,8 @@ def gen_logistic_instance(
     """
     if m % 2 != 0:
         raise ValueError("m must be even")
+    if m <= 0:
+        raise ValueError("m must be positive")
     if s is None:
         s = max(1, round(0.01 * n))
     _check_sparsity_level(s, n)
@@ -146,8 +152,6 @@ def gen_simplex_instance(
     image of a normalized uniform vector, and the start point spreads mass 1
     over the first ``s`` coordinates.
     """
-    if not m < n:
-        raise ValueError("need m < n")
     if s is None:
         s = max(1, round(0.01 * n))
     _check_sparsity_level(s, n)

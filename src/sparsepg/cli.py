@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 solver or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -131,9 +132,7 @@ def _cmd_certify(args) -> int:
     grid = default_grid(default_stepsize(inst.objective.lipschitz), args.grid_points)
     report = check_strong_stationary(inst.objective, inst.set_, inst.s, x, grid, args.tol)
     coord = check_coordinatewise(inst.objective, inst.set_, inst.s, x, grid, args.tol)
-    payload = report.to_dict()
-    payload["coordinatewise"] = coord
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(dataclasses.replace(report, coordinatewise=coord).to_dict(), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

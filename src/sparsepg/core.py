@@ -40,6 +40,14 @@ def support_of(x: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return np.nonzero(np.abs(x) > tol)[0]
 
 
+def _proper_support(x: np.ndarray) -> np.ndarray:
+    """The support of ``x``; a :class:`DegenerateSupportError` unless 0 < ||x||_0 < n."""
+    supp = support_of(x)
+    if supp.size == 0 or supp.size == x.size:
+        raise DegenerateSupportError("need 0 < ||x||_0 < n")
+    return supp
+
+
 def _complement(supp: np.ndarray, n: int) -> np.ndarray:
     """Indices in range(n) outside ``supp``, ascending."""
     mask = np.ones(n, dtype=bool)

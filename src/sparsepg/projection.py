@@ -37,6 +37,13 @@ def _check_sparsity_level(s: int, n: int) -> None:
         raise ValueError(f"sparsity level must be an integer in 1..n-1, got s={s!r}, n={n}")
 
 
+def _on_support(set_: SymmetricSet, n: int, support: np.ndarray, a_sub: np.ndarray) -> np.ndarray:
+    """The n-vector holding ``set_.project_sub(a_sub)`` on ``support`` and zeros elsewhere."""
+    point = np.zeros(n)
+    point[support] = set_.project_sub(a_sub)
+    return point
+
+
 def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     """Ascending indices of the ``s`` largest values, ties to the lowest indices.
 
@@ -68,8 +75,7 @@ def project_sparse(
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
     support = _top_support(set_.ranking_values(x), s)
-    point = np.zeros(x.size)
-    point[support] = set_.project_sub(x[support])
+    point = _on_support(set_, x.size, support, x[support])
     proj = SparseProjection(point, support, False)
     if not certify_uniqueness:
         return proj
@@ -114,8 +120,7 @@ def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]
     best = np.inf
     for combo in itertools.combinations(range(n), s):
         support = np.array(combo, dtype=np.intp)
-        point = np.zeros_like(x)
-        point[support] = set_.project_sub(x[support])
+        point = _on_support(set_, n, support, x[support])
         dist = float(np.sum((point - x) ** 2))
         candidates.append((dist, point, support))
         best = min(best, dist)

@@ -169,33 +169,23 @@ class SymmetricSet:
         r = self.radius
         if self.variant == "full":
             return x
-        if self.variant == "nonneg":
-            return np.maximum(x, 0.0)
         if self.variant == "simplex":
             if x.min() >= 0.0 and abs(float(x.sum()) - r) <= _FEAS_ATOL * (1.0 + r):
                 return x
             return _simplex_threshold(x, r)
-        if self.variant == "l1ball":
+        if self.kind == "nonnegative":  # the orthant, then the shape (Beck and Hallak)
+            x = np.maximum(x, 0.0)
+            if self.variant == "nonneg":
+                return x
+        if self.variant in ("l1ball", "nonneg-l1ball"):
             if float(abs(x).sum()) <= r + _FEAS_ATOL * (1.0 + r):
                 return x
             w = _simplex_threshold(abs(x), r)
             return np.where(x < 0, -w, w)
-        if self.variant == "l2ball":
-            nrm = _norm(x)
-            if nrm <= r + _FEAS_ATOL * (1.0 + r):
-                return x
-            return x * (r / nrm)
-        if self.variant == "nonneg-l1ball":
-            v = np.maximum(x, 0.0)
-            if float(v.sum()) <= r + _FEAS_ATOL * (1.0 + r):
-                return v
-            return _simplex_threshold(x, r)
-        # nonneg-l2ball: project onto the cone, then radially onto the ball
-        v = np.maximum(x, 0.0)
-        nrm = _norm(v)
+        nrm = _norm(x)
         if nrm <= r + _FEAS_ATOL * (1.0 + r):
-            return v
-        return v * (r / nrm)
+            return x
+        return x * (r / nrm)
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         """Membership test with absolute tolerance ``tol`` on each constraint."""
@@ -275,8 +265,6 @@ def parse_set(text: str) -> SymmetricSet:
     The radius ``r`` defaults to 1 and must be positive and finite.
     """
     name, _, rad = text.strip().partition(":")
-    if name not in _SIGN_FREE | _NONNEGATIVE:
-        raise ValueError(f"unknown set {text!r}")
     if rad:
         if name in _RADIUS_FREE:
             raise ValueError(f"set {name!r} takes no radius")

@@ -28,10 +28,11 @@ import numpy as np
 
 from .core import _norm, _Record, as_vector, support_of
 from .objectives import _LinearModel
-from .projection import _check_sparsity_level, project_sparse
+from .projection import _check_sparsity_level, _on_support, project_sparse
 from .sets import SymmetricSet
 from .stationarity import (
     StationarityReport,
+    _require_tol,
     check_strong_stationary,
     default_grid,
     minimize_support_gap,
@@ -218,8 +219,10 @@ def max_backtracks(lipschitz: float, c2: float, t_max: float, tau_shrink: float)
 
 
 def _require_stop_rule(f_tol: float, max_iter: int) -> None:
-    if f_tol < 0:
+    if not f_tol >= 0:
         raise ValueError("f_tol must be nonnegative")
+    if not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
@@ -237,21 +240,23 @@ def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
 
 def _finish(
     obj, set_: SymmetricSet, s: int, x: np.ndarray, f_initial: float,
-    records: list[IterationRecord], stop_reason: str, start: float, certify: bool,
+    records: list[IterationRecord], converged: bool, start: float, certify: bool,
     grid: np.ndarray, certify_tol: float, screened_steps: int = 0,
 ) -> IterateTrace:
     """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
     wall = time.perf_counter() - start
     certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
     return IterateTrace(
-        records, f_initial, x, records[-1].f_value, len(records), wall, certificate, stop_reason,
-        screened_steps,
+        records, f_initial, x, records[-1].f_value, len(records), wall, certificate,
+        "converged" if converged else "max_iter", screened_steps,
     )
 
 
-def _require_finite(value: float, k: int, phase: str) -> None:
+def _finite(value: float, k: int, phase: str) -> float:
+    """``value`` if finite, else a FloatingPointError naming iteration ``k`` and ``phase``."""
     if not math.isfinite(value):
         raise FloatingPointError(f"objective value {value} at iteration {k}, {phase} phase")
+    return value
 
 
 def _record(
@@ -371,10 +376,8 @@ class _ScreenedSteps:
         slack += 4 * _EPS * (abs(self.G) + self.C * delta)
         if not float(self.set_.ranking_values(z).min()) > alpha * (self.G + self.C * delta + slack):
             return None
-        y = np.zeros(x.size)
-        y[supp] = self.set_.project_sub(z)
         self.screened += 1
-        return y
+        return _on_support(self.set_, x.size, supp, z)
 
     def gradient(self) -> np.ndarray:
         g = self.model._gradient(self.v, self.supp, self.cols)
@@ -409,27 +412,24 @@ def pg_solve(
     if not (obj.lipschitz > 0 and 0 < alpha < 1.0 / obj.lipschitz):
         raise ValueError("alpha must lie in (0, 1/lipschitz) for a lipschitz > 0")
     grid = default_grid(alpha, certify_grid_points)
+    _require_tol(certify_tol)
     steps = _ScreenedSteps(obj, set_, s) if isinstance(obj, _LinearModel) else _DenseSteps(obj)
 
     records: list[IterationRecord] = []
-    stop_reason = "max_iter"
     start = time.perf_counter()
-    f_initial = fx = steps.evaluate(x)
-    _require_finite(fx, 0, "initial")
+    f_initial = fx = _finite(steps.evaluate(x), 0, "initial")
     for k in range(max_iter):
         y = steps.screened_step(x, alpha)
         if y is None:
             y = project_sparse(set_, s, x - alpha * steps.gradient(), certify_uniqueness=False).point
-        fy = steps.evaluate(y)
-        _require_finite(fy, k, "step")
+        fy = _finite(steps.evaluate(y), k, "step")
         records.append(_record(k, "projected_gradient", fy, alpha, y, x, set_))
         done = abs(fy - fx) <= f_tol
         x, fx = y, fy
         if done:
-            stop_reason = "converged"
             break
     return _finish(
-        obj, set_, s, x, f_initial, records, stop_reason, start, certify, grid, certify_tol,
+        obj, set_, s, x, f_initial, records, done, start, certify, grid, certify_tol,
         steps.screened,
     )
 
@@ -466,14 +466,13 @@ def npg_solve(
     lipschitz = obj.lipschitz
     config.validate_for(lipschitz)
     grid = default_grid(config.tbar, certify_grid_points)
+    _require_tol(certify_tol)
     bound = max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink)
 
     records: list[IterationRecord] = []
-    stop_reason = "max_iter"
     start = time.perf_counter()
     f_initial, g = obj.value_and_grad(x)
-    _require_finite(f_initial, 0, "initial")
-    f_hist = [f_initial]
+    f_hist = [_finite(f_initial, 0, "initial")]
     x_prev = g_prev = None
     for k in range(config.max_iter):
         moving = np.count_nonzero(x) > 0
@@ -481,20 +480,17 @@ def npg_solve(
         if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
-                f_y = obj.value(y)
-                _require_finite(f_y, k, "swap")
+                f_y = _finite(obj.value(y), k, "swap")
                 x_new, rec = y, _record(k, "swap", f_y, None, y, x, set_)
         elif k % config.N == config.q and moving:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
                 beta = gap.step
                 xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
-                f_xt = obj.value(xt)
-                _require_finite(f_xt, k, "support change")
+                f_xt = _finite(obj.value(xt), k, "support change")
                 if np.count_nonzero(xt) > 0:
                     xh = change_support(obj, set_, s, xt, beta)
-                    f_xh = obj.value(xh)
-                    _require_finite(f_xh, k, "support change")
+                    f_xh = _finite(obj.value(xh), k, "support change")
                     dist_sq = float(((xh - xt) ** 2).sum())
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
                         x_new, rec = xh, _record(
@@ -513,8 +509,7 @@ def npg_solve(
             backtracks = 0
             while True:
                 w = project_sparse(set_, s, x - t_trial * g, certify_uniqueness=False).point
-                fw = obj.value(w)
-                _require_finite(fw, k, "trial")
+                fw = _finite(obj.value(w), k, "trial")
                 if fw <= f_ref - 0.5 * config.c2 * float(((w - x) ** 2).sum()):
                     break
                 t_trial *= config.tau_shrink
@@ -531,10 +526,8 @@ def npg_solve(
         records.append(rec)
         f_hist.append(rec.f_value)
         x_prev, g_prev, x = x, g, x_new
-        if abs(f_hist[-1] - f_hist[-2]) <= config.f_tol:
-            stop_reason = "converged"
+        done = abs(f_hist[-1] - f_hist[-2]) <= config.f_tol
+        if done:
             break
         g = obj.grad(x)
-    return _finish(
-        obj, set_, s, x, f_initial, records, stop_reason, start, certify, grid, certify_tol
-    )
+    return _finish(obj, set_, s, x, f_initial, records, done, start, certify, grid, certify_tol)

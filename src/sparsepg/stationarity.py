@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateSupportError, _complement, _norm, _Record, as_vector, support_of
+from .core import _complement, _norm, _proper_support, _Record, as_vector, support_of
 from .projection import (_check_sparsity_level, _top_support, brute_force_project,
                          certify_unique, project_sparse)
 from .sets import SymmetricSet
@@ -71,6 +71,8 @@ def default_grid(t_max: float, points: int = 50) -> np.ndarray:
     """Uniform stepsize grid over [0, t_max] including both endpoints."""
     if not (t_max > 0 and points >= 2):
         raise ValueError("a stepsize grid needs t_max > 0 and at least 2 points")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     return np.linspace(0.0, t_max, points)
 
 
@@ -88,9 +90,9 @@ def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
     grad = as_vector(grad, x.size)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    supp = support_of(x)
-    if supp.size == 0 or supp.size == x.size:
-        raise DegenerateSupportError("support gap needs 0 < ||x||_0 < n")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    supp = _proper_support(x)
     return _support_gap(set_, x, grad, supp, _complement(supp, x.size), t)
 
 
@@ -114,6 +116,8 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
     grad = as_vector(grad, x.size)
     if not t_max > 0:
         raise ValueError("t_max must be positive")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     supp = support_of(x)
     if supp.size == 0 or supp.size == x.size:
         return GapMinimum(step=t_max, value=0.0)
@@ -143,8 +147,14 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
     return GapMinimum(step=best_step, value=best_val)
 
 
+def _require_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _require_feasible(set_: SymmetricSet, s: int, x: np.ndarray, tol: float) -> np.ndarray:
     """The support of ``x`` counted with a tiny tolerance; a ValueError unless s and x are valid."""
+    _require_tol(tol)
     _check_sparsity_level(s, x.size)
     supp_tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
     supp = support_of(x, supp_tol)

@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DegenerateSupportError, _complement, as_vector, support_of
+from .core import _complement, _proper_support, as_vector
+from .projection import _on_support
 from .sets import SymmetricSet
 
 __all__ = ["coordinate_swap", "change_support"]
-
-
-def _proper_support(x: np.ndarray) -> np.ndarray:
-    supp = support_of(x)
-    if supp.size == 0 or supp.size == x.size:
-        raise DegenerateSupportError("need 0 < ||x||_0 < n")
-    return supp
 
 
 def _swap_candidates(set_: SymmetricSet, x: np.ndarray, grad: np.ndarray,
@@ -98,6 +92,4 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
     edited[drop_pool[:k]] = False
     edited[add_pool[:k]] = True
     new_support = edited.nonzero()[0]
-    y = np.zeros(x.size)
-    y[new_support] = set_.project_sub(a[new_support])
-    return y
+    return _on_support(set_, x.size, new_support, a[new_support])

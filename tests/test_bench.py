@@ -53,6 +53,26 @@ def test_generators_reject_invalid_sparsity_levels_before_drawing(generate):
     assert generate(63, make_rng(0)).s == 63
 
 
+@pytest.mark.parametrize("generate, named", [
+    (lambda rng: gen_cs_instance(0, 64, 3, 0.1, rng), "m must be positive"),
+    (lambda rng: gen_cs_instance(-4, 64, 3, 0.1, rng), "m must be positive"),
+    (lambda rng: gen_cs_instance(20, 64, 3, -1.0, rng), "sigma"),
+    (lambda rng: gen_cs_instance(20, 64, 3, np.nan, rng), "sigma"),
+    (lambda rng: gen_cs_instance(20, 64, 3, np.inf, rng), "sigma"),
+    (lambda rng: gen_logistic_instance(0, 64, rng), "m must be positive"),
+    (lambda rng: gen_logistic_instance(-2, 64, rng), "m must be positive"),
+    (lambda rng: gen_simplex_instance(0, 64, rng), "m must be positive"),
+    (lambda rng: gen_simplex_instance(-4, 64, rng), "m must be positive"),
+], ids=["cs-m0", "cs-m-4", "cs-sigma-1", "cs-sigma-nan", "cs-sigma-inf", "logistic-m0",
+        "logistic-m-2", "simplex-m0", "simplex-m-4"])
+def test_generators_reject_empty_data_and_bad_noise_before_drawing(generate, named):
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=named):
+        generate(rng)
+    assert rng.bit_generator.state == state
+
+
 def test_cs_noiseless_instance_is_solvable_to_zero():
     inst = gen_cs_instance(40, 120, 5, 0.0, make_rng(3))
     assert inst.objective.value(inst.ground_truth) == pytest.approx(0.0, abs=1e-24)

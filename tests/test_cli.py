@@ -124,6 +124,26 @@ def test_solver_errors_exit_two(tmp_path, capsys):
                                "--s", s, "--out", str(bad_out))
         assert code == 2 and "sparsity level" in err and "Traceback" not in err
         assert not bad_out.exists()
+    # so are instances without rows or with a negative or non-finite noise level
+    for name, family, flags, named in [
+        ("logistic_m0", "logistic", ["--m", "0"], "m must be positive"),
+        ("logistic_m-2", "logistic", ["--m", "-2"], "m must be positive"),
+        ("simplex_m0", "simplex-least-squares", ["--m", "0"], "m must be positive"),
+        ("cs_m0", "cs-least-squares", ["--m", "0", "--s", "3"], "m must be positive"),
+        ("cs_sigma-1", "cs-least-squares", ["--m", "20", "--s", "3", "--sigma", "-1"], "sigma"),
+        ("cs_sigma_nan", "cs-least-squares", ["--m", "20", "--s", "3", "--sigma", "nan"], "sigma"),
+    ]:
+        bad_out = tmp_path / f"{name}.npz"
+        code, _, err = run_cli(capsys, "gen", "--family", family, "--n", "64", *flags,
+                               "--out", str(bad_out))
+        assert code == 2 and named in err and "Traceback" not in err
+        assert not bad_out.exists()
+    # a tolerance that is not finite and nonnegative fails before the solve
+    for tol in ("nan", "-1", "inf"):
+        for method in ("pg", "npg"):
+            code, _, err = run_cli(capsys, "solve", str(inst_path), "--method", method,
+                                   "--tol", tol)
+            assert code == 2 and "tol must be finite and nonnegative" in err
     # malformed instance files: a missing array, an unknown family, meta that
     # disagrees with the arrays or breaks the sparsity rule, an infinite radius
     no_meta = tmp_path / "no_meta.npz"

@@ -273,6 +273,16 @@ def test_threshold_projections_match_the_numpy_reference_bit_for_bit(case):
         assert p_sub.tobytes() == q_sub.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(threshold_cases())
+@example(NONMONOTONE)
+def test_nonneg_l1_ball_projection_is_the_threshold_of_the_unclipped_vector(case):
+    # clipping to the orthant before the l1 threshold leaves its bits unchanged
+    x, r = case
+    x = np.concatenate([x, [-1.0 - abs(x).max(), 2.0 * r]])  # a negative entry, mass above r
+    assert nonneg_l1_ball(r).project(x).tobytes() == simplex_threshold_reference(x, r).tobytes()
+
+
 @pytest.mark.parametrize("size, array_calls", [(_SCALAR_MAX, 0), (_SCALAR_MAX + 1, 1)])
 def test_threshold_switches_to_numpy_above_the_scalar_cutoff(size, array_calls, monkeypatch):
     calls = []

@@ -77,7 +77,9 @@ def test_config_validation():
         dict(q=0),
         dict(q=5),
         dict(f_tol=-1.0),
+        dict(f_tol=np.nan),
         dict(max_iter=0),
+        dict(max_iter=2.5),
     ]
     for override in bad:
         with pytest.raises(ValueError):
@@ -160,6 +162,8 @@ def test_pg_rejects_bad_inputs():
         (dict(max_iter=0), "max_iter must be positive"),
         (dict(max_iter=-3), "max_iter must be positive"),
         (dict(f_tol=-1.0), "f_tol must be nonnegative"),
+        (dict(f_tol=np.nan), "f_tol must be nonnegative"),
+        (dict(max_iter=2.5), "max_iter must be an integer"),
     ]:
         with pytest.raises(ValueError, match=message):
             pg_solve(obj, full_space(), 1, np.zeros(2), alpha=0.5, **bad)
@@ -184,6 +188,11 @@ def test_solvers_reject_a_certificate_grid_before_solving():
             pg_solve(obj, full_space(), 1, x0, alpha=0.5, certify_grid_points=points)
         with pytest.raises(ValueError, match="grid"):
             npg_solve(obj, full_space(), 1, x0, config, certify_grid_points=points)
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            pg_solve(obj, full_space(), 1, x0, alpha=0.5, certify_tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            npg_solve(obj, full_space(), 1, x0, config, certify_tol=tol)
 
 
 def test_sparsity_level_n_is_rejected_before_any_evaluation():
@@ -389,7 +398,33 @@ def test_screened_pg_matches_dense_pg(problem):
     for ours, theirs in zip(screened.records, dense.records):
         assert np.array_equal(ours.support, theirs.support)
         assert ours.f_value == theirs.f_value
+        assert ours.support.size <= s
+        assert max(ours.shape_gap, ours.nonneg_gap) <= 1e-10
     assert np.array_equal(screened.x_final, dense.x_final)
+
+
+class ExactLipschitz(PublicProtocol):
+    """An objective whose Lipschitz constant comes from an SVD, not from power iteration.
+
+    The NPG guarantees assume a true Lipschitz constant.  On about 0.2% of the
+    ``screening_problems`` draws, the power iteration of the linear models
+    stops below it: for A = [[1, -2, 1]] its fixed start vector lies in the
+    null space of A, and ``lipschitz`` reads 1.2e-32 instead of 6.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.lipschitz = float(np.linalg.norm(inner.A, 2)) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(screening_problems())
+def test_npg_trace_invariants_on_every_set_and_loss(problem):
+    obj, set_, s, x0 = problem
+    obj = ExactLipschitz(obj)
+    config = benchmark_config(obj.lipschitz, M=4, N=5, q=3, max_iter=60)
+    trace = npg_solve(obj, set_, s, x0, config, certify=False)
+    check_npg_trace_invariants(trace, obj, set_, s, config)
 
 
 def test_screening_covers_table2_pg_after_the_first_steps():

@@ -56,8 +56,9 @@ def test_support_gap_degenerate_inputs():
         support_gap(full_space(), np.zeros(2), np.ones(2), 1.0)
     with pytest.raises(DegenerateSupportError):
         support_gap(full_space(), np.ones(2), np.ones(2), 1.0)
-    with pytest.raises(ValueError):
-        support_gap(full_space(), np.array([1.0, 0.0]), np.ones(2), -0.5)
+    for t in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            support_gap(full_space(), np.array([1.0, 0.0]), np.ones(2), t)
 
 
 def test_minimize_support_gap_endpoint_case():
@@ -81,6 +82,13 @@ def test_minimize_support_gap_degenerate_convention():
     gm = minimize_support_gap(nonneg_orthant(), np.ones(3), np.ones(3), 0.7)
     assert gm.step == 0.7
     assert gm.value == 0.0
+
+
+def test_minimize_support_gap_needs_a_finite_positive_bound():
+    # on [0, inf) the gap 1 - t has no minimum
+    for t_max in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            minimize_support_gap(full_space(), np.array([1.0, 0.0]), np.array([0.0, 1.0]), t_max)
 
 
 def test_minimize_support_gap_interior_kink():
@@ -369,7 +377,8 @@ def test_check_coordinatewise_finds_the_one_failing_coordinate_among_many():
 
 
 def test_default_grid_needs_a_positive_step():
-    for t_max, points in [(0.9, 0), (0.9, 1), (0.0, 50), (-1.0, 50), (float("nan"), 50)]:
+    for t_max, points in [(0.9, 0), (0.9, 1), (0.0, 50), (-1.0, 50), (float("nan"), 50),
+                          (float("inf"), 2), (float("inf"), 50)]:
         with pytest.raises(ValueError):
             default_grid(t_max, points)
 
@@ -436,6 +445,11 @@ def test_checkers_reject_infeasible_points():
         check_general_stationary(obj, full_space(), 1, [1.0, 1.0, 0.0], grid, 1e-8)
     with pytest.raises(ValueError):
         check_strong_stationary(obj, nonneg_orthant(), 2, [-1.0, 0.0, 0.0], grid, 1e-8)
+    # a bad tolerance is named as such, not taken for an infeasible point
+    for tol in (-1e-8, np.nan, np.inf):
+        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                check(obj, full_space(), 1, [1.0, 0.0, 0.0], grid, tol)
 
 
 def test_report_serializes():
