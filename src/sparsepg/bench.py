@@ -64,6 +64,13 @@ class Instance:
     sigma: float | None = None
 
 
+def _instance(family: str, objective: LeastSquares | Logistic, set_: SymmetricSet, s: int,
+              x0: np.ndarray, **extra) -> Instance:
+    """An instance of the objective's m x n shape; :func:`gen_instance` sets the seed."""
+    m, n = objective.A.shape
+    return Instance(family, m, n, s, -1, objective, set_, x0, **extra)
+
+
 def _orthonormal_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m x n matrix with orthonormal rows spanning the range of a Gaussian n x m draw."""
     if not m < n:
@@ -90,18 +97,8 @@ def gen_cs_instance(m: int, n: int, s: int, sigma: float, rng: np.random.Generat
     truth[support] = rng.integers(0, 2, size=s) * 2.0 - 1.0
     noise = rng.standard_normal(m)
     b = a @ truth + sigma * noise
-    return Instance(
-        family="cs-least-squares",
-        m=m,
-        n=n,
-        s=s,
-        seed=-1,
-        objective=LeastSquares(a, b),
-        set_=full_space(),
-        x0=np.zeros(n),
-        ground_truth=truth,
-        sigma=sigma,
-    )
+    return _instance("cs-least-squares", LeastSquares(a, b), full_space(), s, np.zeros(n),
+                     ground_truth=truth, sigma=sigma)
 
 
 def gen_logistic_instance(
@@ -124,23 +121,11 @@ def gen_logistic_instance(
     half = m // 2
     mu_pos = float(rng.uniform(0.0, 1.0))
     mu_neg = float(rng.uniform(-1.0, 0.0))
-    a = np.vstack(
-        [
-            mu_pos + rng.standard_normal((half, n)),
-            mu_neg + rng.standard_normal((half, n)),
-        ]
-    )
+    a = rng.standard_normal((m, n))
+    a[:half] += mu_pos
+    a[half:] += mu_neg
     labels = np.concatenate([np.ones(half), -np.ones(half)])
-    return Instance(
-        family="logistic",
-        m=m,
-        n=n,
-        s=s,
-        seed=-1,
-        objective=Logistic(a, labels),
-        set_=full_space(),
-        x0=np.zeros(n),
-    )
+    return _instance("logistic", Logistic(a, labels), full_space(), s, np.zeros(n))
 
 
 def gen_simplex_instance(
@@ -162,16 +147,7 @@ def gen_simplex_instance(
     b = a @ (z / np.sum(z))
     x0 = np.zeros(n)
     x0[:s] = 1.0 / s
-    return Instance(
-        family="simplex-least-squares",
-        m=m,
-        n=n,
-        s=s,
-        seed=-1,
-        objective=LeastSquares(a, b),
-        set_=nonneg_simplex(1.0),
-        x0=x0,
-    )
+    return _instance("simplex-least-squares", LeastSquares(a, b), nonneg_simplex(1.0), s, x0)
 
 
 def gen_instance(
@@ -208,6 +184,8 @@ class BenchRow(_Record):
     time_s: float | None = None
     strong_stationary: bool | None = None
     violation: float | None = None
+    iterations: int | None = None
+    stop_reason: str | None = None
     error: str | None = None
 
 
@@ -279,8 +257,6 @@ def run_benchmark(
     methods: tuple[str, ...] = ("pg", "npg"),
     grid_points: int = 50,
     tol: float = 1e-6,
-    f_tol: float = 1e-8,
-    max_iter: int = 100_000,
 ) -> BenchReport:
     """Run each method on each instance; per-row failures do not abort the batch."""
     rows: list[BenchRow] = []
@@ -289,7 +265,7 @@ def run_benchmark(
             key = dict(family=inst.family, m=inst.m, n=inst.n, s=inst.s, method=method,
                        seed=inst.seed)
             try:
-                trace = solve_instance(inst, method, grid_points, tol, f_tol, max_iter)
+                trace = solve_instance(inst, method, grid_points, tol, 1e-8, 100_000)
                 cert = trace.certificate
                 rows.append(
                     BenchRow(
@@ -299,6 +275,8 @@ def run_benchmark(
                         time_s=trace.wall_time_seconds,
                         strong_stationary=None if cert is None else cert.strong,
                         violation=None if cert is None else cert.worst_violation,
+                        iterations=trace.iterations,
+                        stop_reason=trace.stop_reason,
                     )
                 )
             except Exception as exc:  # keep the batch going, surface the error in the row

@@ -27,11 +27,11 @@ from .core import as_vector
 __all__ = ["LeastSquares", "Logistic"]
 
 
-def _top_singular_value_sq(mat: np.ndarray, max_iter: int = 5000, rtol: float = 1e-13) -> float:
+def _top_singular_value_sq(mat: np.ndarray) -> float:
     """Largest squared singular value by power iteration on the Gram operator.
 
-    Runs until the Rayleigh quotient stalls at relative change ``rtol``; the
-    iteration count must cover spectra with small relative gaps.
+    Runs until the Rayleigh quotient stalls at relative change 1e-13, or for
+    5000 iterations, enough for spectra with small relative gaps.
     """
     n = mat.shape[1]
     v = np.ones(n) / np.sqrt(n)
@@ -39,14 +39,14 @@ def _top_singular_value_sq(mat: np.ndarray, max_iter: int = 5000, rtol: float = 
     v += np.linspace(0.0, 1.0, n) * 1e-3
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(5000):
         w = mat.T @ (mat @ v)
         new_lam = float(v @ w)
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 0.0
         v = w / nrm
-        if abs(new_lam - lam) <= rtol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= 1e-13 * max(1.0, abs(new_lam)):
             return new_lam
         lam = new_lam
     return lam

@@ -34,8 +34,8 @@ __all__ = [
     "parse_set",
 ]
 
+_VARIANTS = ("full", "nonneg", "simplex", "l1ball", "l2ball", "nonneg-l1ball", "nonneg-l2ball")
 _SIGN_FREE = frozenset({"full", "l1ball", "l2ball"})
-_NONNEGATIVE = frozenset({"nonneg", "simplex", "nonneg-l1ball", "nonneg-l2ball"})
 _RADIUS_FREE = frozenset({"full", "nonneg"})
 
 # slack for "already feasible" checks; keeps projections exact at fixed points
@@ -122,7 +122,7 @@ class SymmetricSet:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in _SIGN_FREE | _NONNEGATIVE:
+        if self.variant not in _VARIANTS:
             raise ValueError(f"unknown set variant {self.variant!r}")
         if self.variant not in _RADIUS_FREE and not 0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
@@ -248,15 +248,7 @@ def nonneg_l2_ball(radius: float = 1.0) -> SymmetricSet:
 
 def catalog(radius: float = 1.0) -> list[SymmetricSet]:
     """All catalog members, parameterized ones at the given radius."""
-    return [
-        full_space(),
-        nonneg_orthant(),
-        nonneg_simplex(radius),
-        l1_ball(radius),
-        l2_ball(radius),
-        nonneg_l1_ball(radius),
-        nonneg_l2_ball(radius),
-    ]
+    return [SymmetricSet(v) if v in _RADIUS_FREE else SymmetricSet(v, radius) for v in _VARIANTS]
 
 
 def parse_set(text: str) -> SymmetricSet:

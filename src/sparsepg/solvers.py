@@ -81,14 +81,9 @@ class SolverConfig:
             raise ValueError("need 0 < t_min < t_max")
         if not 0 < self.tau_shrink < 1:
             raise ValueError("tau_shrink must be in (0, 1)")
-        if not self.tbar > 0:
-            raise ValueError("tbar must be positive")
-        if not self.c1 > 0:
-            raise ValueError("c1 must be positive")
-        if not self.c2 > 0:
-            raise ValueError("c2 must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        for name in ("tbar", "c1", "c2", "eta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not (isinstance(self.N, int) and self.N >= 3):
             raise ValueError("N must be an integer >= 3")
         if not (isinstance(self.M, int) and 0 <= self.M < self.N):
@@ -403,13 +398,17 @@ def pg_solve(
     Stops when consecutive objective values differ by at most ``f_tol`` or
     after ``max_iter`` iterations.  A non-finite objective value raises
     ``FloatingPointError`` naming the iteration and the phase (``initial`` or
-    ``step``).  On the package's objectives with ``s`` at most a tenth of the
+    ``step``).  A step that misses the descent-lemma decrease
+    ``0.5 * (1/alpha - L) * ||y - x||^2`` by more than ``1e-9 * (1 + |f(x)|)``
+    raises ``RuntimeError``: the objective's Lipschitz constant L is then
+    understated.  On the package's objectives with ``s`` at most a tenth of the
     dimension, a step whose top-s support provably stays on the support of x
     takes the screened O(m * s) path (see the module docstring).
     """
     _require_stop_rule(f_tol, max_iter)
     x = _start(obj, set_, s, x0)
-    if not (obj.lipschitz > 0 and 0 < alpha < 1.0 / obj.lipschitz):
+    lipschitz = obj.lipschitz
+    if not (lipschitz > 0 and 0 < alpha < 1.0 / lipschitz):
         raise ValueError("alpha must lie in (0, 1/lipschitz) for a lipschitz > 0")
     grid = default_grid(alpha, certify_grid_points)
     _require_tol(certify_tol)
@@ -423,7 +422,13 @@ def pg_solve(
         if y is None:
             y = project_sparse(set_, s, x - alpha * steps.gradient(), certify_uniqueness=False).point
         fy = _finite(steps.evaluate(y), k, "step")
-        records.append(_record(k, "projected_gradient", fy, alpha, y, x, set_))
+        rec = _record(k, "projected_gradient", fy, alpha, y, x, set_)
+        if fy > fx - 0.5 * (1.0 / alpha - lipschitz) * rec.move_sq + 1e-9 * (1.0 + abs(fx)):
+            raise RuntimeError(
+                f"step at iteration {k} missed the descent bound; "
+                f"the objective's lipschitz {lipschitz!r} is likely understated"
+            )
+        records.append(rec)
         done = abs(fy - fx) <= f_tol
         x, fx = y, fy
         if done:

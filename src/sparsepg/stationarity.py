@@ -131,20 +131,15 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
         return GapMinimum(step=0.0, value=g0)
 
     alpha = float(abs(grad[off]).max())
-    best_val = math.inf
-    best_step = 0.0
-    for i in supp:
-        xi = float(x[i])
-        gi = float(grad[i])
-        cands = [0.0, float(t_max)]
-        if gi != 0.0:
-            cands.append(min(max(xi / gi, 0.0), float(t_max)))
-        for t in cands:
-            val = abs(xi - t * gi) - alpha * t
-            if val < best_val or (val == best_val and t > best_step):
-                best_val = val
-                best_step = t
-    return GapMinimum(step=best_step, value=best_val)
+    xs, gs = x[supp], grad[supp]
+    with np.errstate(over="ignore"):  # x_i / g_i may overflow to inf, which clips to t_max
+        kink = np.divide(xs, gs, out=np.zeros(supp.size), where=gs != 0)
+    # a kink at or below 0 (or none, where g_i = 0) is the candidate 0 again
+    kink = np.where(kink > 0, np.minimum(kink, t_max), 0.0)
+    steps = np.stack([np.zeros(supp.size), np.full(supp.size, float(t_max)), kink])
+    vals = abs(xs - steps * gs) - alpha * steps
+    best = vals.min()
+    return GapMinimum(step=float(steps[vals == best].max()), value=float(best))
 
 
 def _require_tol(tol: float) -> None:
@@ -156,7 +151,7 @@ def _require_feasible(set_: SymmetricSet, s: int, x: np.ndarray, tol: float) -> 
     """The support of ``x`` counted with a tiny tolerance; a ValueError unless s and x are valid."""
     _require_tol(tol)
     _check_sparsity_level(s, x.size)
-    supp_tol = 1e-12 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
+    supp_tol = 1e-12 * (1.0 + float(np.max(np.abs(x))))
     supp = support_of(x, supp_tol)
     if supp.size > s:
         raise ValueError(f"point has {supp.size} nonzeros, exceeds sparsity level {s}")

@@ -31,6 +31,28 @@ def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
     return ts, vals
 
 
+def gap_minimum_by_loop(x, grad, t_max):
+    """Reference for ``minimize_support_gap`` on a sign-free set, as (step, value).
+
+    Scans the support in index order, each coordinate's steps 0, ``t_max``
+    and its clipped kink, and keeps a step on a strictly smaller value or on
+    an equal value at a larger step.  ``x`` needs 0 < ||x||_0 < n.
+    """
+    supp = support_of(x)
+    alpha = float(abs(np.delete(grad, supp)).max())
+    best_val, best_step = np.inf, 0.0
+    for i in supp:
+        xi, gi = float(x[i]), float(grad[i])
+        cands = [0.0, float(t_max)]
+        if gi != 0.0:
+            cands.append(min(max(xi / gi, 0.0), float(t_max)))
+        for t in cands:
+            val = abs(xi - t * gi) - alpha * t
+            if val < best_val or (val == best_val and t > best_step):
+                best_val, best_step = val, t
+    return best_step, best_val
+
+
 def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     """Reference for ``check_strong_stationary``: a certified projection at every grid step.
 

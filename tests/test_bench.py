@@ -17,6 +17,7 @@ from sparsepg import (
     save_point,
     support_of,
 )
+from sparsepg import bench
 from sparsepg.bench import CSV_COLUMNS, BenchRow
 
 
@@ -109,6 +110,30 @@ def test_logistic_instance_shape_and_rules():
     assert np.array_equal(inst.x0, np.zeros(1000))
     with pytest.raises(ValueError):
         gen_logistic_instance(11, 10, make_rng(0))
+
+
+def test_logistic_features_are_one_draw_in_class_order():
+    # the positive class takes the first m/2 rows of the normal draw, as when
+    # each class was drawn on its own
+    for seed in range(5):
+        rng = make_rng(seed)
+        mu_pos, mu_neg = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 0.0)
+        expected = np.vstack([mu_pos + rng.standard_normal((4, 7)),
+                              mu_neg + rng.standard_normal((4, 7))])
+        assert np.array_equal(gen_logistic_instance(8, 7, make_rng(seed)).objective.A, expected)
+
+
+def test_gen_instance_rejects_a_missing_level_and_an_unknown_family():
+    with pytest.raises(ValueError, match="explicit sparsity level"):
+        gen_instance("cs-least-squares", 20, 64, seed=0)
+    with pytest.raises(ValueError, match="unknown family 'lasso'"):
+        gen_instance("lasso", 20, 64, seed=0, s=3)
+
+
+def test_solve_instance_rejects_an_unknown_method():
+    inst = gen_instance("cs-least-squares", 20, 64, seed=0, s=3)
+    with pytest.raises(ValueError, match="unknown method 'cg'"):
+        bench.solve_instance(inst, "cg", 50, 1e-6, 1e-8, 100)
 
 
 def test_logistic_force_label_hook():
@@ -224,21 +249,21 @@ def test_csv_cells():
     row = BenchRow(
         family="logistic", m=1, n=2, s=1, method="pg", seed=0,
         cardinality=None, objective=0.125, time_s=None,
-        strong_stationary=True, violation=None,
+        strong_stationary=True, violation=None, iterations=7, stop_reason="max_iter",
     )
     line = BenchReport([row]).to_csv().splitlines()[1]
-    assert line == "logistic,1,2,1,pg,0,,0.125,,true,"
+    assert line == "logistic,1,2,1,pg,0,,0.125,,true,,7,max_iter"
 
 
 def test_row_dict_key_order():
     keys = [
         "family", "m", "n", "s", "method", "seed", "cardinality", "objective",
-        "time_s", "strong_stationary", "violation", "error",
+        "time_s", "strong_stationary", "violation", "iterations", "stop_reason", "error",
     ]
     row = BenchRow(
         family="logistic", m=1, n=2, s=1, method="pg", seed=0,
         cardinality=1, objective=0.125, time_s=0.5,
-        strong_stationary=True, violation=0.0,
+        strong_stationary=True, violation=0.0, iterations=3, stop_reason="converged",
     )
     assert list(row.to_dict()) == keys
     assert CSV_COLUMNS == keys[:-1]
@@ -247,5 +272,22 @@ def test_row_dict_key_order():
     bad.x0 = np.ones(64)
     failed = run_benchmark([bad], methods=("pg",)).rows[0].to_dict()
     assert list(failed) == keys
-    assert [failed[k] for k in keys[6:11]] == [None] * 5
+    assert [failed[k] for k in keys[6:13]] == [None] * 7
     assert failed["error"].startswith("ValueError: infeasible start")
+
+
+def test_rows_say_how_each_solve_stopped(monkeypatch):
+    inst = gen_instance("cs-least-squares", 20, 64, seed=1, s=3)
+    done = run_benchmark([inst], methods=("pg", "npg"), grid_points=10).rows
+    for row in done:
+        assert row.stop_reason == "converged" and row.iterations > 3
+    solve = bench.solve_instance
+    monkeypatch.setattr(
+        bench, "solve_instance",
+        lambda inst, method, grid_points, tol, f_tol, max_iter:
+            solve(inst, method, grid_points, tol, f_tol, 3),
+    )
+    capped = run_benchmark([inst], methods=("pg", "npg"), grid_points=10)
+    for row in capped.rows:
+        assert (row.iterations, row.stop_reason) == (3, "max_iter")
+    assert capped.to_csv().splitlines()[1].endswith(",3,max_iter")

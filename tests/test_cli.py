@@ -114,7 +114,7 @@ def test_solver_errors_exit_two(tmp_path, capsys):
         "--grid-points", "0",
     )
     assert code == 2
-    assert out.splitlines()[1:] == [f"cs-least-squares,20,64,3,{m},0,,,,," for m in ("pg", "npg")]
+    assert out.splitlines()[1:] == [f"cs-least-squares,20,64,3,{m},0,,,,,,," for m in ("pg", "npg")]
     assert err.count("grid") == 2
     # invalid sparsity levels are configuration errors, before any file is written
     for family, s in [("simplex-least-squares", "0"), ("simplex-least-squares", "-2"),

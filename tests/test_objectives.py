@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsepg import LeastSquares, Logistic, gen_instance, make_rng
+from sparsepg.objectives import _top_singular_value_sq
 
 
 def central_diff(obj, x, h_scale=1e-6):
@@ -60,6 +61,23 @@ def test_lipschitz_orthonormal_rows_is_one():
 def test_lipschitz_diagonal():
     obj = LeastSquares(2.0 * np.eye(3), np.zeros(3))
     assert obj.lipschitz == pytest.approx(4.0, rel=1e-10)
+
+
+def test_power_iteration_stops_at_its_cap():
+    # a relative spectral gap of 5e-4 needs more than 5000 products to stall,
+    # so the estimate is the 5000th Rayleigh quotient, 4.5e-8 below the true 1
+    class Counted:
+        def __init__(self, a):
+            self.a, self.shape, self.T, self.products = a, a.shape, a.T, 0
+
+        def __matmul__(self, v):
+            self.products += 1
+            return self.a @ v
+
+    mat = Counted(np.diag([1.0, np.sqrt(0.999)]))
+    lam = _top_singular_value_sq(mat)
+    assert mat.products == 5000
+    assert 1.0 - lam == pytest.approx(4.5e-8, rel=0.01)
 
 
 def test_lipschitz_logistic_rank_one():
@@ -254,3 +272,6 @@ def test_dimension_mismatch():
         obj.grad(np.zeros(4))
     with pytest.raises(ValueError):
         Logistic(np.eye(2), [1.0, 2.0])  # labels must be +-1
+    for a in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="A must be a matrix"):
+            LeastSquares(a, np.zeros(2))

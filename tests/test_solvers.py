@@ -19,6 +19,7 @@ from sparsepg import (
     gen_instance,
     make_rng,
     max_backtracks,
+    nonneg_simplex,
     npg_solve,
     pg_solve,
     support_of,
@@ -105,6 +106,11 @@ def test_bb_stepsize_examples():
     assert bb_initial_stepsize([1e-6, 0.0], z, [1.0, 0.0], z, 0.1, 10.0) == pytest.approx(0.1)
 
 
+def test_bb_stepsize_needs_ordered_bounds():
+    with pytest.raises(ValueError, match="t_min <= t_max"):
+        bb_initial_stepsize([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], 2.0, 1.0)
+
+
 def test_bb_stepsize_of_checked_vectors_matches_the_public_function():
     rng = make_rng(3)
     z = np.zeros(4)
@@ -149,10 +155,29 @@ def test_pg_monotone_descent_inequality():
     del rng
 
 
+def test_pg_enforces_the_descent_bound():
+    # the power iteration's start lies in the null space of [1, -2, 1], so L
+    # reads 1.2e-32 instead of 6 and the first step at 0.995/L overshoots
+    obj = LeastSquares([[1.0, -2.0, 1.0]], [1.0])
+    assert obj.lipschitz < 1e-30
+    with pytest.raises(RuntimeError, match=r"iteration 0 .*descent bound.*lipschitz 1\.2"):
+        pg_solve(obj, full_space(), 1, np.zeros(3), default_stepsize(obj.lipschitz))
+
+    # f = 0.5 ||1e5 x - b||^2 has L = 1e10, but the objective reports L = 1
+    class Understated(LeastSquares):
+        lipschitz = 1.0
+
+    obj = Understated(1e5 * np.eye(3), np.array([3e5, 1e5, 2e5]))
+    with pytest.raises(RuntimeError, match=r"iteration 0 .*lipschitz 1\.0 is likely understated"):
+        pg_solve(obj, full_space(), 2, np.zeros(3), default_stepsize(1.0))
+
+
 def test_pg_rejects_bad_inputs():
     obj = quadratic([3.0, 1.0])
     with pytest.raises(ValueError):
         pg_solve(obj, full_space(), 1, np.array([1.0, 1.0]), alpha=0.9)  # infeasible x0
+    with pytest.raises(ValueError, match="infeasible start: not in the constraint set"):
+        pg_solve(obj, nonneg_simplex(1.0), 1, np.array([2.0, 0.0]), alpha=0.9)
     with pytest.raises(ValueError, match="expected length 2"):
         pg_solve(obj, full_space(), 1, np.r_[np.zeros(9), 1.0], alpha=0.5)
     with pytest.raises(ValueError):
@@ -257,6 +282,8 @@ def test_npg_rejects_infeasible_start():
     config = small_config(obj.lipschitz)
     with pytest.raises(ValueError):
         npg_solve(obj, full_space(), 1, np.array([1.0, 1.0, 0.0]), config)
+    with pytest.raises(ValueError, match="infeasible start: not in the constraint set"):
+        npg_solve(obj, nonneg_simplex(1.0), 1, np.array([2.0, 0.0, 0.0]), config)
 
 
 def test_trace_serializes_to_json():

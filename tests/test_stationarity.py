@@ -14,6 +14,7 @@ from sparsepg import (
     default_grid,
     full_space,
     l1_ball,
+    l2_ball,
     make_rng,
     minimize_support_gap,
     nonneg_orthant,
@@ -21,7 +22,8 @@ from sparsepg import (
     project_sparse,
     support_gap,
 )
-from oracles import coordinatewise_by_enumeration, gap_on_grid, strong_stationary_on_grid
+from oracles import (coordinatewise_by_enumeration, gap_minimum_by_loop, gap_on_grid,
+                     strong_stationary_on_grid)
 
 ALL_SETS = catalog()
 
@@ -117,6 +119,32 @@ def test_minimize_support_gap_matches_grid_oracle():
         # largest-minimizer convention: no grid minimizer sits beyond the step
         beyond = ts[vals <= gm.value + 1e-12]
         assert beyond.max() <= gm.step + 1e-9
+
+
+def test_sign_free_gap_minimum_matches_the_coordinate_loop():
+    # small integers tie values and steps; the step and value must equal the
+    # loop's bit for bit, the largest-step tie rule and the sign of zero included
+    rng = make_rng(2025)
+    sets = [full_space(), l1_ball(), l2_ball(2.0)]
+    for draw in range(3000):
+        n = int(rng.integers(2, 12))
+        x = np.zeros(n)
+        idx = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        if draw % 2:
+            x[idx] = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], idx.size)
+            grad = rng.integers(-3, 4, n).astype(float)
+        else:
+            x[idx] = rng.standard_normal(idx.size)
+            grad = rng.standard_normal(n)
+        t_max = float(rng.integers(1, 4)) if draw % 3 == 0 else float(10.0 ** rng.uniform(-3, 8))
+        gm = minimize_support_gap(sets[draw % 3], x, grad, t_max)
+        step, value = gap_minimum_by_loop(x, grad, t_max)
+        assert (gm.step, gm.value) == (step, value)
+        assert (np.signbit(gm.step), np.signbit(gm.value)) == (np.signbit(step), np.signbit(value))
+    # a subnormal gradient entry puts the kink beyond the largest float
+    x, grad = np.array([1.0, 0.0, 0.0]), np.array([1e-309, 1.0, 0.5])
+    gm = minimize_support_gap(full_space(), x, grad, 2.0)
+    assert (gm.step, gm.value) == gap_minimum_by_loop(x, grad, 2.0) == (2.0, -1.0)
 
 
 def test_gap_concavity_on_nonnegative_sets():
@@ -267,6 +295,17 @@ def test_strong_check_enumerates_where_the_certificate_fails():
     x = np.array([1.0, 1e-13, 0.0])
     report = assert_matches_certified_grid(quadratic(x), full_space(), 2, x, default_grid(1.0, 9))
     assert report.strong
+
+
+def test_strong_check_enumerates_only_up_to_twelve_coordinates():
+    # the same uncertified point is strong at n = 12, where enumeration
+    # confirms its projection is unique, and not strong at n = 13, where no
+    # enumeration runs: the verdict depends on n
+    for n, strong in ((12, True), (13, False)):
+        x = np.zeros(n)
+        x[:2] = 1.0, 1e-13
+        report = check_strong_stationary(quadratic(x), full_space(), 2, x, default_grid(1.0, 9), 1e-6)
+        assert (report.general, report.strong) == (True, strong)
 
 
 def test_witnesses_always_improve():

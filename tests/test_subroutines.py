@@ -132,3 +132,5 @@ def test_change_support_degenerate_inputs():
         change_support(obj, full_space(), 1, np.ones(2), 0.5)
     with pytest.raises(ValueError):
         change_support(obj, full_space(), 1, np.array([1.0, 0.0]), -1.0)
+    with pytest.raises(ValueError, match="2 nonzeros, exceeds sparsity level 1"):
+        change_support(quadratic([1.0, 1.0, 1.0]), full_space(), 1, np.array([1.0, 1.0, 0.0]), 0.5)
