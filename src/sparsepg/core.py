@@ -32,10 +32,10 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
 
 
 def support_of(x: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Indices i with |x_i| > tol, ascending."""
+    """Indices i with |x_i| > tol, ascending; a ``tol`` that is not ``>= 0`` (NaN too) raises."""
     if tol == 0.0:
         return np.nonzero(x)[0]
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     return np.nonzero(np.abs(x) > tol)[0]
 

@@ -7,15 +7,14 @@ logistic regression.
 Both are losses of ``p = A @ x`` and share one evaluation path.  Since the
 solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
 support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
-the columns of its last support, and gathers them again only when S changes:
-at most m * ||x||_0 floats per objective.  The gradient is
-``A.T @ v`` for the loss derivative ``v`` in ``p``, with one rule on every
-path: its entries on S come from the support columns, ``A[:, S].T @ v``, and
-only the others from the dense product.  ``grad`` and ``value_and_grad`` thus
-cost one dense ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only
-the entries on S (the screened steps of ``pg_solve``) gets them, bit for
-bit, for O(m * ||x||_0).  A point with more than a tenth of its entries
-nonzero takes the dense products unchanged.
+the columns of its last support, and gathers them again only when S changes.
+That cache holds m * ||x||_0 floats, up to a second copy of ``A`` as
+||x||_0 nears n.  The gradient is ``A.T @ v`` for the loss derivative ``v``
+in ``p``: its entries on S come from the support columns, ``A[:, S].T @ v``,
+and only the others from the dense product.  ``grad`` and ``value_and_grad``
+thus cost one dense ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs
+only the entries on S (the screened steps of ``pg_solve``) gets them, bit
+for bit, for O(m * ||x||_0).
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ def _top_singular_value_sq(mat: np.ndarray) -> float:
     return lam
 
 
-# above this share of nonzero entries, A @ x is cheaper than gathering the
-# columns; measured break-even (one BLAS thread): 5.5% at 120x512, 13.5% at
-# 500x1000, 7% at 1000x2000, none at 100x500 (there A @ x takes 5 us)
-_DENSE_SHARE = 0.1
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-logaddexp(0, -z)) = 1/(1+exp(-z)), stable in both tails
     return np.exp(-np.logaddexp(0.0, -z))
@@ -76,6 +69,8 @@ class _LinearModel:
         self.A = np.asarray(A, dtype=np.float64)
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
+        if not np.isfinite(self.A).all():
+            raise ValueError("A must be finite")
         self._lipschitz: float | None = None
         self._supp = np.empty(0, dtype=np.intp)
         self._cols = self.A[:, self._supp]
@@ -91,24 +86,19 @@ class _LinearModel:
             self._lipschitz = _top_singular_value_sq(self.A)
         return self._lipschitz
 
-    def _gradient(self, v: np.ndarray, supp: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+    def _gradient(self, v: np.ndarray, supp: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``A.T @ v`` with its entries on ``supp`` taken from ``cols.T @ v``."""
         g = self.A.T @ v
-        if supp is not None:
-            g[supp] = cols.T @ v
+        g[supp] = cols.T @ v
         return g
 
-    def _evaluate(self, x) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``p = A @ x`` of a checked vector, with its support S and ``A[:, S]``.
+    def _evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
 
         The columns of the last support are kept, and the same support array
-        is returned for as long as S does not change.  Both are None when more
-        than a tenth of the entries are nonzero, and ``p`` is then the dense
-        product.
+        is returned for as long as S does not change.
         """
         supp = x.nonzero()[0]
-        if supp.size > _DENSE_SHARE * x.size:
-            return self.A @ x, None, None
         # comparing the bytes is exact here, and 30x cheaper than np.array_equal
         if supp.tobytes() != self._supp.tobytes():
             self._supp, self._cols = supp, self.A[:, supp]

@@ -3,7 +3,7 @@
 The projection picks the ``s`` coordinates with the largest ranking values,
 sub-projects onto the restricted set there, and zeros the rest.  The result is
 always a member of the (possibly multi-valued) projection; two sufficient
-conditions certify when it is the unique one.
+conditions, checked by ``certify_unique``, certify when it is the unique one.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ _BRUTE_MAX_N = 20
 
 @dataclass(frozen=True)
 class SparseProjection:
-    """A projection result: the point, the support it was built on, and a uniqueness flag."""
+    """A projection result: the point and the support it was built on."""
 
     point: np.ndarray
     chosen_support: np.ndarray
-    certified_unique: bool
 
 
 def _check_sparsity_level(s: int, n: int) -> None:
@@ -57,27 +56,19 @@ def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     return chosen.nonzero()[0]
 
 
-def project_sparse(
-    set_: SymmetricSet, s: int, x, certify_uniqueness: bool = True
-) -> SparseProjection:
+def project_sparse(set_: SymmetricSet, s: int, x) -> SparseProjection:
     """Project ``x`` onto {cardinality <= s} intersected with ``set_``.
 
     The chosen support is the first ``s`` indices of the stable non-ascending
     sort of the ranking values (``sorting_permutation``), found by partition;
     any sorting permutation yields a valid projection, the stable one makes
-    the choice deterministic.  Pass ``certify_uniqueness=False`` to skip the
-    uniqueness certificate (the flag comes back False); solver inner loops and
-    the stationarity check do this, the latter certifying only where it reads
-    the flag.
+    the choice deterministic.  ``certify_unique`` tells whether the result is
+    the only projection.
     """
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
     support = _top_support(set_.ranking_values(x), s)
-    point = _on_support(set_, x.size, support, x[support])
-    proj = SparseProjection(point, support, False)
-    if not certify_uniqueness:
-        return proj
-    return SparseProjection(point, support, certify_unique(set_, s, x, proj))
+    return SparseProjection(_on_support(set_, x.size, support, x[support]), support)
 
 
 def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> bool:
@@ -125,5 +116,5 @@ def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]
         if dist <= cutoff and not any(
             np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners
         ):
-            winners.append(SparseProjection(point, support, False))
+            winners.append(SparseProjection(point, support))
     return winners

@@ -6,16 +6,16 @@ support change when the minimized support gap is small, and otherwise a
 spectral-stepsize projected gradient step accepted by a nonmonotone
 backtracking test against the worst of the last ``M+1`` objective values.
 
-On the package's linear-model objectives with ``s`` at most a tenth of n,
-``pg_solve`` screens each step.  Once the iterate has ``s`` nonzeros on a
-support S, the gradient entries off S move by at most ``||a_j|| * ||v -
-v_ref||`` from those of the last dense gradient, where ``v`` is the loss
-derivative in ``A @ x``.  When that bound proves that the top-s support of
-``x - t * g`` is S, with no ties, the step projects on S alone: it needs only
-the gradient entries on S and costs O(m * s), where a dense step costs one
-``A.T @ v`` and an n-wide selection.  Screened and dense steps give the same
-bits, because the objectives take the gradient entries on the support from
-the support columns on every path.  Any other objective takes the dense step.
+On the package's linear-model objectives, ``pg_solve`` screens each step.
+Once the iterate has ``s`` nonzeros on a support S, the gradient entries off
+S move by at most ``||a_j|| * ||v - v_ref||`` from those of the last dense
+gradient, where ``v`` is the loss derivative in ``A @ x``.  When that bound
+proves that the top-s support of ``x - t * g`` is S, with no ties, the step
+projects on S alone: it needs only the gradient entries on S and costs
+O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
+Screened and dense steps give the same bits, because the objectives take the
+gradient entries on the support from the support columns on every path.  Any
+other objective takes the dense step.
 """
 
 from __future__ import annotations
@@ -331,12 +331,9 @@ class _ScreenedSteps:
         return self.model._loss(p)
 
     def screened_step(self, x: np.ndarray, alpha: float) -> np.ndarray | None:
-        """The PG step projected on S alone, or None unless the bound proves S is the top-s support.
-
-        None also when the model evaluated ``x`` densely, without a support.
-        """
+        """The PG step projected on S alone, or None unless the bound proves S is the top-s support."""
         supp = self.supp
-        if self.g_ref is None or supp is None or supp.size != self.s:
+        if self.g_ref is None or supp.size != self.s:
             return None
         if self.bound_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
@@ -401,9 +398,9 @@ def pg_solve(
     ``step``).  A step that misses the descent-lemma decrease
     ``0.5 * (1/alpha - L) * ||y - x||^2`` by more than ``1e-9 * (1 + |f(x)|)``
     raises ``RuntimeError``: the objective's Lipschitz constant L is then
-    understated.  On the package's objectives with ``s`` at most a tenth of the
-    dimension, a step whose top-s support provably stays on the support of x
-    takes the screened O(m * s) path (see the module docstring).
+    understated.  On the package's objectives, a step whose top-s support
+    provably stays on the support of x takes the screened O(m * s) path (see
+    the module docstring).
     """
     _require_stop_rule(f_tol, max_iter)
     x = _start(obj, set_, s, x0)
@@ -420,7 +417,7 @@ def pg_solve(
     for k in range(max_iter):
         y = steps.screened_step(x, alpha)
         if y is None:
-            y = project_sparse(set_, s, x - alpha * steps.gradient(), certify_uniqueness=False).point
+            y = project_sparse(set_, s, x - alpha * steps.gradient()).point
         fy = _finite(steps.evaluate(y), k, "step")
         rec = _record(k, "projected_gradient", fy, alpha, y, x, set_)
         if fy > fx - 0.5 * (1.0 / alpha - lipschitz) * rec.move_sq + 1e-9 * (1.0 + abs(fx)):
@@ -491,7 +488,7 @@ def npg_solve(
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
                 beta = gap.step
-                xt = project_sparse(set_, s, x - beta * g, certify_uniqueness=False).point
+                xt = project_sparse(set_, s, x - beta * g).point
                 f_xt = _finite(obj.value(xt), k, "support change")
                 if np.count_nonzero(xt) > 0:
                     xh = change_support(obj, set_, s, xt, beta)
@@ -513,7 +510,7 @@ def npg_solve(
             f_ref = max(f_hist[-(config.M + 1):])
             backtracks = 0
             while True:
-                w = project_sparse(set_, s, x - t_trial * g, certify_uniqueness=False).point
+                w = project_sparse(set_, s, x - t_trial * g).point
                 fw = _finite(obj.value(w), k, "trial")
                 if fw <= f_ref - 0.5 * config.c2 * float(((w - x) ** 2).sum()):
                     break

@@ -194,7 +194,7 @@ def check_strong_stationary(
     best_drop = 0.0
     for t in _grid_steps(t_grid):
         a = x - t * grad
-        proj = project_sparse(set_, s, a, certify_uniqueness=False)
+        proj = project_sparse(set_, s, a)
         move = _norm(proj.point - x)
         worst = max(worst, move)
         if move <= tol:

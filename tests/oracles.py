@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
-from sparsepg import StationarityReport, brute_force_project, project_sparse, support_of
+from sparsepg import (
+    StationarityReport, brute_force_project, certify_unique, project_sparse, support_of,
+)
 from sparsepg.subroutines import _swap_candidates
 
 
@@ -56,8 +58,8 @@ def gap_minimum_by_loop(x, grad, t_max):
 def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     """Reference for ``check_strong_stationary``: a certified projection at every grid step.
 
-    Each step's projection certifies its own uniqueness, whether or not the
-    step reads the flag.  At a step that stays at ``x`` and is not
+    Each step certifies the uniqueness of its projection, whether or not the
+    step reads the certificate.  At a step that stays at ``x`` and is not
     certified, every size-``s`` support is enumerated when n <= 12.  ``x``
     must be feasible (not checked).
     """
@@ -70,12 +72,13 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     best_drop = 0.0
     for t in np.asarray(t_grid, dtype=np.float64):
         a = x - t * grad
-        proj = project_sparse(set_, s, a, certify_uniqueness=True)
+        proj = project_sparse(set_, s, a)
+        unique = certify_unique(set_, s, a, proj)
         move = float(np.linalg.norm(proj.point - x))
         worst = max(worst, move)
         if move <= tol:
             singleton = a.size <= 12 and len(brute_force_project(set_, s, a)) == 1
-            if not (proj.certified_unique or singleton):
+            if not (unique or singleton):
                 strong = False
             continue
         strong = False

@@ -126,7 +126,7 @@ def test_criterion_01_projection_oracle_equivalence():
             for s in (1, 2, 3):
                 for _ in range(500):
                     x = rng.standard_normal(n)
-                    ours = project_sparse(set_, s, x, certify_uniqueness=False).point
+                    ours = project_sparse(set_, s, x).point
                     best = min(
                         float(np.sum((w.point - x) ** 2))
                         for w in brute_force_project(set_, s, x)

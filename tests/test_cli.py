@@ -145,12 +145,17 @@ def test_solver_errors_exit_two(tmp_path, capsys):
                                    "--tol", tol)
             assert code == 2 and "tol must be finite and nonnegative" in err
     # malformed instance files: a missing array, an unknown family, meta that
-    # disagrees with the arrays or breaks the sparsity rule, an infinite radius
+    # disagrees with the arrays or breaks the sparsity rule, an infinite
+    # radius, a NaN in the matrix
     no_meta = tmp_path / "no_meta.npz"
     np.savez(no_meta, matrix=np.eye(3))
     with np.load(inst_path) as data:
         arrays = dict(data)
     meta = json.loads(str(arrays["meta"]))
+    nan_matrix = tmp_path / "nan_matrix.npz"
+    matrix = arrays["matrix"].copy()
+    matrix[0, 0] = np.nan
+    np.savez(nan_matrix, **{**arrays, "matrix": matrix})
 
     def rewritten(name, x0=arrays["x0"], **changes):
         path = tmp_path / f"{name}.npz"
@@ -167,6 +172,7 @@ def test_solver_errors_exit_two(tmp_path, capsys):
         (rewritten("s_float", s=3.5), "s=3.5"),
         (rewritten("s_text", s="3"), "s='3'"),
         (rewritten("inf", set="simplex:inf"), "radius"),
+        (nan_matrix, "A must be finite"),
     ]:
         for method in ("pg", "npg"):
             code, _, err = run_cli(capsys, "solve", str(path), "--method", method)

@@ -15,8 +15,10 @@ def test_support_of_basic():
 
 
 def test_support_of_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        support_of(np.array([1.0]), tol=-1e-3)
+    # NaN compares false both ways, so it would read as an empty support
+    for tol in (-1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            support_of(np.array([1.0]), tol=tol)
 
 
 def test_sorting_permutation_examples():

@@ -155,7 +155,7 @@ def seeded_objectives():
 
 @pytest.mark.parametrize("nonzeros", [0, 1, 6, 7, 30, 60])
 def test_support_aware_evaluation_matches_dense_formula(nonzeros):
-    # 6 of 60 nonzeros is the last point evaluated on its support, 7 the first dense one
+    # every point, up to all 60 entries nonzero, is evaluated on its support columns
     objectives, rng = seeded_objectives()
     for obj in objectives:
         for _ in range(5):
@@ -169,25 +169,28 @@ def test_support_aware_evaluation_matches_dense_formula(nonzeros):
             assert np.array_equal(grad, obj.grad(x))
 
 
-def test_dense_product_above_a_tenth_nonzeros():
+def test_support_product_never_reads_an_off_support_column():
     # a NaN column off the support shows which product was formed: the
-    # support-column one never reads it, the dense one propagates it
+    # support-column one never reads it, a dense A @ x would propagate it.
+    # The models reject a non-finite A, so the NaN goes in after construction.
     a = np.ones((4, 20))
-    a[:, 19] = np.nan
     for obj in (LeastSquares(a, np.ones(4)), Logistic(a, [1.0, -1.0, 1.0, -1.0])):
-        for nonzeros, dense in [(0, False), (2, False), (3, True), (10, True)]:
+        obj.A[:, 19] = np.nan
+        for nonzeros in range(20):
             x = np.zeros(20)
             x[:nonzeros] = 0.5
-            with np.errstate(invalid="ignore"):
-                assert np.isnan(obj.value(x)) == dense
-                assert np.isnan(obj.value_and_grad(x)[0]) == dense
-                assert np.isnan(obj.grad(x)[0]) == dense
+            assert not np.isnan(obj.value(x))
+            value, grad = obj.value_and_grad(x)
+            assert not np.isnan(value)
+            # only the off-support entries come from the dense A.T @ v
+            assert not np.isnan(grad[:19]).any() and np.isnan(grad[19])
+            assert np.array_equal(obj.grad(x), grad, equal_nan=True)
 
 
-@pytest.mark.parametrize("nonzeros", [1, 3, 6, 7, 30])
+@pytest.mark.parametrize("nonzeros", [0, 1, 3, 6, 7, 30, 59, 60])
 def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros):
-    # up to a tenth of n nonzero, the gradient on S is A[:, S].T @ v bit for
-    # bit, v the loss derivative at A[:, S] @ x[S]; above it, A.T @ v unchanged
+    # at every nonzero count, the gradient on S is A[:, S].T @ v bit for bit,
+    # v the loss derivative at A[:, S] @ x[S], and off S it is A.T @ v
     objectives, rng = seeded_objectives()
     for obj in objectives:
         for _ in range(20):
@@ -195,14 +198,11 @@ def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros)
             supp = np.sort(rng.choice(obj.dim, size=nonzeros, replace=False))
             x[supp] = rng.standard_normal(nonzeros)
             grad = obj.grad(x)
-            if nonzeros <= obj.dim / 10:
-                cols = obj.A[:, supp]
-                v = obj._dloss(cols @ x[supp])
-                assert np.array_equal(grad[supp], cols.T @ v)
-                off = np.setdiff1d(np.arange(obj.dim), supp)
-                assert np.array_equal(grad[off], (obj.A.T @ v)[off])
-            else:
-                assert np.array_equal(grad, obj.A.T @ obj._dloss(obj.A @ x))
+            cols = obj.A[:, supp]
+            v = obj._dloss(cols @ x[supp])
+            assert np.array_equal(grad[supp], cols.T @ v)
+            off = np.setdiff1d(np.arange(obj.dim), supp)
+            assert np.array_equal(grad[off], (obj.A.T @ v)[off])
             value, both_grad = obj.value_and_grad(x)
             assert value == obj.value(x)
             assert np.array_equal(both_grad, grad)
@@ -212,8 +212,7 @@ def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros)
 def support_walks(draw):
     """A linear model and points whose supports repeat, alternate and change size.
 
-    Supports hold up to a fifth of n entries, so the walk also crosses the
-    tenth of n above which the dense product is formed.
+    Supports hold up to a fifth of n entries.
     """
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.integers(1, 8)), draw(st.integers(10, 40))
@@ -241,7 +240,7 @@ def support_walks(draw):
 def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
     model, data, points = walk
     obj = model(*data)
-    last = None  # the support array of the last evaluation on the support columns
+    last = None  # the support array of the last evaluation
     for x, order in points:
         fresh = model(*data)
         for method in order:
@@ -251,10 +250,9 @@ def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
             else:
                 assert np.array_equal(got, want)
         supp = obj._evaluate(x)[1]
-        if supp is not None:
-            assert (supp is last) == (last is not None and np.array_equal(supp, last))
-            assert np.array_equal(supp, x.nonzero()[0])
-            last = supp
+        assert (supp is last) == (last is not None and np.array_equal(supp, last))
+        assert np.array_equal(supp, x.nonzero()[0])
+        last = supp
 
 
 def test_logistic_lipschitz_equals_label_scaled_estimate():
@@ -275,3 +273,12 @@ def test_dimension_mismatch():
     for a in (np.ones(3), np.ones((2, 2, 2))):
         with pytest.raises(ValueError, match="A must be a matrix"):
             LeastSquares(a, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected_at_construction(bad):
+    a = np.ones((2, 3))
+    a[1, 2] = bad
+    for model, target in ((LeastSquares, [1.0, 0.0]), (Logistic, [1.0, -1.0])):
+        with pytest.raises(ValueError, match="A must be finite"):
+            model(a, target)

@@ -386,11 +386,7 @@ class PublicProtocol:
 
 @st.composite
 def screening_problems(draw):
-    """Small-integer data, so that ranking values tie often.
-
-    Steps can screen only when n >= 10 * s; below that the linear models
-    still take the screened-steps path, which then never screens.
-    """
+    """Small-integer data, so that ranking values tie often."""
     s = draw(st.integers(1, 3))
     n = draw(st.integers(s + 1, 10 * s + 12))
     m = draw(st.integers(2, 12))
@@ -418,8 +414,6 @@ def test_screened_pg_matches_dense_pg(problem):
     screened = pg_solve(obj, set_, s, x0, alpha, max_iter=60, certify=False)
     dense = pg_solve(PublicProtocol(obj), set_, s, x0, alpha, max_iter=60, certify=False)
     assert dense.screened_steps == 0
-    if x0.size < 10 * s:
-        assert screened.screened_steps == 0
     assert screened.iterations == dense.iterations
     assert screened.stop_reason == dense.stop_reason
     for ours, theirs in zip(screened.records, dense.records):
@@ -427,6 +421,21 @@ def test_screened_pg_matches_dense_pg(problem):
         assert ours.f_value == theirs.f_value
         assert ours.support.size <= s
         assert max(ours.shape_gap, ours.nonneg_gap) <= 1e-10
+    assert np.array_equal(screened.x_final, dense.x_final)
+
+
+def test_pg_screens_with_more_than_a_tenth_of_the_entries_nonzero():
+    # s = n/4: almost every step stays on its support and screens, with the
+    # bits of the dense steps
+    inst = gen_instance("cs-least-squares", 120, 512, 1, s=128)
+    obj = inst.objective
+    alpha = default_stepsize(obj.lipschitz)
+    screened = pg_solve(obj, inst.set_, inst.s, inst.x0, alpha, certify=False)
+    dense = pg_solve(PublicProtocol(obj), inst.set_, inst.s, inst.x0, alpha, certify=False)
+    assert screened.screened_steps >= 1800
+    assert screened.iterations == dense.iterations
+    assert screened.stop_reason == dense.stop_reason
+    assert [r.to_dict() for r in screened.records] == [r.to_dict() for r in dense.records]
     assert np.array_equal(screened.x_final, dense.x_final)
 
 
