@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance", help="instance .npz file")
     p_solve.add_argument("--method", choices=("pg", "npg"), required=True)
     p_solve.add_argument("--out", default=None, help="trace JSON path (default: stdout summary only)")
-    p_solve.add_argument("--grid-points", type=int, default=50)
-    p_solve.add_argument("--tol", type=float, default=1e-6)
 
     p_bench = sub.add_parser("bench", help="run the benchmark table")
     _add_instance_args(p_bench, require_family=False)
@@ -62,15 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--method", choices=("pg", "npg", "both"), default="both")
     p_bench.add_argument("--out", default=None, help="output path (default: stdout)")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bench.add_argument("--grid-points", type=int, default=50)
-    p_bench.add_argument("--tol", type=float, default=1e-6)
 
     p_cert = sub.add_parser("certify", help="stationarity report for a point file")
     p_cert.add_argument("instance", help="instance .npz file")
     p_cert.add_argument("--point", required=True, help="point file, one float per line")
     p_cert.add_argument("--out", default=None, help="report JSON path (default: stdout)")
-    p_cert.add_argument("--grid-points", type=int, default=50)
-    p_cert.add_argument("--tol", type=float, default=1e-6)
+    for p in (p_solve, p_bench, p_cert):  # last in each verb's --help
+        p.add_argument("--grid-points", type=int, default=50)
+        p.add_argument("--tol", type=float, default=1e-6)
     return parser
 
 

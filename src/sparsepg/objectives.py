@@ -66,7 +66,8 @@ class _LinearModel:
     """
 
     def __init__(self, A):
-        self.A = np.asarray(A, dtype=np.float64)
+        self.A = np.array(A, dtype=np.float64)  # the model's own copy, read-only below
+        self.A.flags.writeable = False
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
         if not np.isfinite(self.A).all():
@@ -121,7 +122,8 @@ class LeastSquares(_LinearModel):
 
     def __init__(self, A, b):
         super().__init__(A)
-        self.b = as_vector(b, self.A.shape[0])
+        self.b = as_vector(b, self.A.shape[0]).copy()
+        self.b.flags.writeable = False
 
     def _loss(self, p: np.ndarray) -> float:
         r = p - self.b
@@ -142,7 +144,8 @@ class Logistic(_LinearModel):
 
     def __init__(self, A, labels):
         super().__init__(A)
-        self.labels = as_vector(labels, self.A.shape[0])
+        self.labels = as_vector(labels, self.A.shape[0]).copy()
+        self.labels.flags.writeable = False
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
 

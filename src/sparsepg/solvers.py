@@ -32,6 +32,7 @@ from .projection import _check_sparsity_level, _on_support, project_sparse
 from .sets import SymmetricSet
 from .stationarity import (
     StationarityReport,
+    _off_support_slope,
     _require_tol,
     check_strong_stationary,
     default_grid,
@@ -338,10 +339,8 @@ class _ScreenedSteps:
         if self.bound_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
                 self.norms = np.sqrt(np.einsum("ij,ij->j", self.model.A, self.model.A))
-            off = np.ones(x.size, dtype=bool)
-            off[supp] = False
-            self.G = float(self.set_.ranking_values(-self.g_ref[off]).max())
-            self.C = float(self.norms[off].max())
+            self.G = _off_support_slope(self.set_, self.g_ref, supp)
+            self.C = float(np.delete(self.norms, supp).max())
             self.bound_supp = supp
         z = x[supp] - alpha * (self.cols.T @ self.v)
         # Off S, x_j = 0 and the dense step ranks fl(-t*g_j) (its absolute

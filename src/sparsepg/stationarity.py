@@ -2,12 +2,12 @@
 
 Three nested optimality conditions are checked numerically on a grid of trial
 stepsizes: *general* (the point is a projection of its own gradient step),
-*strong* (it is the unique projection), and *coordinatewise* (a fixed point on
-every size-s super support of its support, decided exactly by the one super
-support that fails first, plus a one-coordinate swap test).  The support gap
-of a gradient step is the smallest on-support ranking value minus the largest
-off-support one; its minimum over a stepsize interval has a closed form
-costing only the support size.
+*strong* (it is the certified unique projection), and *coordinatewise* (a
+fixed point on every size-s super support of its support, decided exactly by
+the one super support that fails first, plus a one-coordinate swap test).  The
+support gap of a gradient step, smallest on-support minus largest off-support
+ranking value, has one closed form for both set kinds, minimized in O(|S|)
+evaluations.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _complement, _norm, _proper_support, _Record, as_vector, support_of
-from .projection import (_check_sparsity_level, _top_support, brute_force_project,
-                         certify_unique, project_sparse)
+from .projection import _check_sparsity_level, _top_support, certify_unique, project_sparse
 from .sets import SymmetricSet
 from .subroutines import _swap_candidates
 
@@ -33,10 +32,6 @@ __all__ = [
     "check_strong_stationary",
     "check_coordinatewise",
 ]
-
-# brute-force uniqueness confirmation is attempted only at this size or below
-_BRUTE_N_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class GapMinimum:
@@ -84,6 +79,14 @@ def _grid_steps(t_grid) -> np.ndarray:
     return ts
 
 
+def _off_support_slope(set_: SymmetricSet, grad: np.ndarray, supp: np.ndarray) -> float:
+    """``alpha``, the largest ranking value of ``-grad`` off ``supp``: the gap falls by alpha*t."""
+    # -grad is a new array, and masking S in it costs half a gather of the rest
+    ranked = set_.ranking_values(-grad)
+    ranked[supp] = -np.inf
+    return float(ranked.max())
+
+
 def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
     """Smallest on-support minus largest off-support ranking value of ``x - t*grad``."""
     x = as_vector(x)
@@ -93,24 +96,19 @@ def support_gap(set_: SymmetricSet, x, grad, t: float) -> float:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     supp = _proper_support(x)
-    return _support_gap(set_, x, grad, supp, _complement(supp, x.size), t)
-
-
-def _support_gap(set_: SymmetricSet, x: np.ndarray, grad: np.ndarray, supp: np.ndarray,
-                 off: np.ndarray, t: float) -> float:
-    """:func:`support_gap` of checked vectors, with the support and its complement."""
-    ranked = set_.ranking_values(x - t * grad)
-    return float(ranked[supp].min() - ranked[off].max())
+    alpha = _off_support_slope(set_, grad, supp)
+    return float(set_.ranking_values(x[supp] - t * grad[supp]).min() - alpha * t)
 
 
 def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimum:
     """Minimize the support gap over [0, t_max] in O(||x||_0) evaluations.
 
     Empty or full support returns the convention ``(step=t_max, value=0)``.
-    For nonnegative sets the gap is concave in t, so the endpoints suffice; for
-    sign-free sets each on-support coordinate contributes a convex
-    piecewise-linear curve minimized over {0, kink, t_max}.  Ties in the
-    minimizer resolve to the largest step.
+    x is zero off its support S, so for both set kinds the gap is
+    ``min ranking(x_S - t*g_S) - alpha*t``, alpha the largest off-support
+    ranking value of ``-g``.  Each on-support curve is linear on nonnegative
+    sets, with candidates 0 and ``t_max``; sign-free sets add its clipped kink
+    ``x_i/g_i``.  Ties in the minimizer resolve to the largest step.
     """
     x = as_vector(x)
     grad = as_vector(grad, x.size)
@@ -122,22 +120,16 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
     if supp.size == 0 or supp.size == x.size:
         return GapMinimum(step=t_max, value=0.0)
 
-    off = _complement(supp, x.size)
-    if set_.kind == "nonnegative":
-        g0 = _support_gap(set_, x, grad, supp, off, 0.0)
-        g1 = _support_gap(set_, x, grad, supp, off, float(t_max))
-        if g1 <= g0:
-            return GapMinimum(step=float(t_max), value=g1)
-        return GapMinimum(step=0.0, value=g0)
-
-    alpha = float(abs(grad[off]).max())
+    alpha = _off_support_slope(set_, grad, supp)
     xs, gs = x[supp], grad[supp]
-    with np.errstate(over="ignore"):  # x_i / g_i may overflow to inf, which clips to t_max
-        kink = np.divide(xs, gs, out=np.zeros(supp.size), where=gs != 0)
-    # a kink at or below 0 (or none, where g_i = 0) is the candidate 0 again
-    kink = np.where(kink > 0, np.minimum(kink, t_max), 0.0)
-    steps = np.stack([np.zeros(supp.size), np.full(supp.size, float(t_max)), kink])
-    vals = abs(xs - steps * gs) - alpha * steps
+    rows = [np.zeros(supp.size), np.full(supp.size, float(t_max))]
+    if set_.kind == "sign-free":
+        with np.errstate(over="ignore"):  # x_i / g_i may overflow to inf, which clips to t_max
+            kink = np.divide(xs, gs, out=np.zeros(supp.size), where=gs != 0)
+        # a kink at or below 0 (or none, where g_i = 0) is the candidate 0 again
+        rows.append(np.where(kink > 0, np.minimum(kink, t_max), 0.0))
+    steps = np.stack(rows)
+    vals = set_.ranking_values(xs - steps * gs) - alpha * steps
     best = vals.min()
     return GapMinimum(step=float(steps[vals == best].max()), value=float(best))
 
@@ -165,21 +157,15 @@ def check_general_stationary(obj, set_: SymmetricSet, s: int, x, t_grid, tol: fl
     return check_strong_stationary(obj, set_, s, x, t_grid, tol).general
 
 
-def _confirmed_singleton(set_: SymmetricSet, s: int, a: np.ndarray) -> bool:
-    if a.size > _BRUTE_N_LIMIT:
-        return False
-    return len(brute_force_project(set_, s, a)) == 1
-
-
 def check_strong_stationary(
     obj, set_: SymmetricSet, s: int, x, t_grid, tol: float
 ) -> StationarityReport:
     """Check the unique-projection condition on the grid.
 
     Strong requires, at every grid step, that the projection returns the point
-    itself and that uniqueness is certified (or confirmed exhaustively at very
-    small dimension).  Uniqueness is certified only at the steps whose
-    projection stays within ``tol`` of the point, the only ones that read it.
+    itself and that :func:`certify_unique` certifies it, by one rule at every
+    n.  Uniqueness is certified only at the steps whose projection stays
+    within ``tol`` of the point, the only ones that read it.
     When some gradient step projects to a different point, the one with the
     largest objective drop is reported as witness.
     """
@@ -198,7 +184,7 @@ def check_strong_stationary(
         move = _norm(proj.point - x)
         worst = max(worst, move)
         if move <= tol:
-            if not (certify_unique(set_, s, a, proj) or _confirmed_singleton(set_, s, a)):
+            if not certify_unique(set_, s, a, proj):
                 strong = False
             continue
         strong = False

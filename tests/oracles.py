@@ -4,9 +4,7 @@ import itertools
 
 import numpy as np
 
-from sparsepg import (
-    StationarityReport, brute_force_project, certify_unique, project_sparse, support_of,
-)
+from sparsepg import StationarityReport, certify_unique, project_sparse, support_of
 from sparsepg.subroutines import _swap_candidates
 
 
@@ -33,23 +31,29 @@ def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
     return ts, vals
 
 
-def gap_minimum_by_loop(x, grad, t_max):
-    """Reference for ``minimize_support_gap`` on a sign-free set, as (step, value).
+def gap_minimum_by_loop(set_, x, grad, t_max):
+    """Reference for ``minimize_support_gap``, as (step, value).
 
-    Scans the support in index order, each coordinate's steps 0, ``t_max``
-    and its clipped kink, and keeps a step on a strictly smaller value or on
-    an equal value at a larger step.  ``x`` needs 0 < ||x||_0 < n.
+    Scans the support in index order, each coordinate's steps 0 and
+    ``t_max``, plus its clipped kink on a sign-free set, and keeps a step on a
+    strictly smaller value or on an equal value at a larger step.  A
+    coordinate's value at t is its ranking value of ``x_i - t*g_i`` (the
+    absolute value on a sign-free set) minus ``alpha*t``, with ``alpha`` the
+    largest off-support ranking value of ``-g``.  ``x`` needs 0 < ||x||_0 < n.
     """
     supp = support_of(x)
-    alpha = float(abs(np.delete(grad, supp)).max())
+    sign_free = set_.kind == "sign-free"
+    off = -np.delete(grad, supp)
+    alpha = float((abs(off) if sign_free else off).max())
     best_val, best_step = np.inf, 0.0
     for i in supp:
         xi, gi = float(x[i]), float(grad[i])
         cands = [0.0, float(t_max)]
-        if gi != 0.0:
+        if sign_free and gi != 0.0:
             cands.append(min(max(xi / gi, 0.0), float(t_max)))
         for t in cands:
-            val = abs(xi - t * gi) - alpha * t
+            shifted = xi - t * gi
+            val = (abs(shifted) if sign_free else shifted) - alpha * t
             if val < best_val or (val == best_val and t > best_step):
                 best_val, best_step = val, t
     return best_step, best_val
@@ -59,9 +63,9 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     """Reference for ``check_strong_stationary``: a certified projection at every grid step.
 
     Each step certifies the uniqueness of its projection, whether or not the
-    step reads the certificate.  At a step that stays at ``x`` and is not
-    certified, every size-``s`` support is enumerated when n <= 12.  ``x``
-    must be feasible (not checked).
+    step reads the certificate; a step that stays at ``x`` counts toward
+    strong only when certified, at every n.  ``x`` must be feasible (not
+    checked).
     """
     x = np.asarray(x, dtype=np.float64)
     grad = obj.grad(x)
@@ -77,8 +81,7 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
         move = float(np.linalg.norm(proj.point - x))
         worst = max(worst, move)
         if move <= tol:
-            singleton = a.size <= 12 and len(brute_force_project(set_, s, a)) == 1
-            if not (unique or singleton):
+            if not unique:
                 strong = False
             continue
         strong = False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsepg import LeastSquares, load_instance, save_instance, save_point
-from sparsepg.cli import main
+from sparsepg.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +77,18 @@ def test_usage_errors_exit_one(capsys):
     assert main(["solve"]) == 1  # missing instance argument
     assert main(["gen", "--family", "nope", "--m", "1", "--n", "2", "--out", "x"]) == 1
     assert main([]) == 1
+
+
+def test_solve_bench_and_certify_take_the_grid_and_tolerance_flags():
+    parser = build_parser()
+    verbs = [["solve", "inst.npz", "--method", "pg"],
+             ["bench", "--m", "4", "--n", "8"],
+             ["certify", "inst.npz", "--point", "x.txt"]]
+    for argv in verbs:
+        args = parser.parse_args(argv)
+        assert (args.grid_points, args.tol) == (50, 1e-6)
+        args = parser.parse_args([*argv, "--grid-points", "7", "--tol", "0.5"])
+        assert (args.grid_points, args.tol) == (7, 0.5)
 
 
 def test_solver_errors_exit_two(tmp_path, capsys):

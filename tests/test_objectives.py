@@ -172,9 +172,11 @@ def test_support_aware_evaluation_matches_dense_formula(nonzeros):
 def test_support_product_never_reads_an_off_support_column():
     # a NaN column off the support shows which product was formed: the
     # support-column one never reads it, a dense A @ x would propagate it.
-    # The models reject a non-finite A, so the NaN goes in after construction.
+    # The models reject a non-finite A and keep it read-only, so the NaN goes
+    # in after construction, through a cleared flag.
     a = np.ones((4, 20))
     for obj in (LeastSquares(a, np.ones(4)), Logistic(a, [1.0, -1.0, 1.0, -1.0])):
+        obj.A.flags.writeable = True
         obj.A[:, 19] = np.nan
         for nonzeros in range(20):
             x = np.zeros(20)
@@ -282,3 +284,19 @@ def test_non_finite_matrix_is_rejected_at_construction(bad):
     for model, target in ((LeastSquares, [1.0, 0.0]), (Logistic, [1.0, -1.0])):
         with pytest.raises(ValueError, match="A must be finite"):
             model(a, target)
+
+
+def test_models_own_read_only_copies_of_their_arrays():
+    # a later write to the caller's arrays reaches neither the model's values
+    # nor its kept support columns, and the model's own arrays refuse writes
+    a, b, labels = np.ones((4, 20)), np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])
+    x = np.zeros(20)
+    x[:3] = 0.5
+    for model, target in ((LeastSquares, b), (Logistic, labels)):
+        obj, fresh = model(a, target), model(a.copy(), target.copy())
+        a[:, :3], target[:] = np.nan, -target
+        assert obj.value(x) == fresh.value(x)
+        a[:, :3], target[:] = 1.0, -target  # the originals again, for the next model
+        for name in ("A", "b" if model is LeastSquares else "labels"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 0.0

@@ -14,7 +14,6 @@ from sparsepg import (
     default_grid,
     full_space,
     l1_ball,
-    l2_ball,
     make_rng,
     minimize_support_gap,
     nonneg_orthant,
@@ -121,12 +120,14 @@ def test_minimize_support_gap_matches_grid_oracle():
         assert beyond.max() <= gm.step + 1e-9
 
 
-def test_sign_free_gap_minimum_matches_the_coordinate_loop():
-    # small integers tie values and steps; the step and value must equal the
-    # loop's bit for bit, the largest-step tie rule and the sign of zero included
+def test_gap_minimum_and_gap_match_the_coordinate_loop_and_the_definition():
+    # small integers tie values and steps; on all 7 sets the step and value
+    # must equal the loop's bit for bit, the largest-step tie rule and the
+    # sign of zero included, and the gap at 0, t_max and a random step must
+    # equal its n-wide definition bit for bit
     rng = make_rng(2025)
-    sets = [full_space(), l1_ball(), l2_ball(2.0)]
-    for draw in range(3000):
+    for draw in range(3500):
+        set_ = ALL_SETS[draw % len(ALL_SETS)]
         n = int(rng.integers(2, 12))
         x = np.zeros(n)
         idx = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
@@ -137,14 +138,21 @@ def test_sign_free_gap_minimum_matches_the_coordinate_loop():
             x[idx] = rng.standard_normal(idx.size)
             grad = rng.standard_normal(n)
         t_max = float(rng.integers(1, 4)) if draw % 3 == 0 else float(10.0 ** rng.uniform(-3, 8))
-        gm = minimize_support_gap(sets[draw % 3], x, grad, t_max)
-        step, value = gap_minimum_by_loop(x, grad, t_max)
+        gm = minimize_support_gap(set_, x, grad, t_max)
+        step, value = gap_minimum_by_loop(set_, x, grad, t_max)
         assert (gm.step, gm.value) == (step, value)
         assert (np.signbit(gm.step), np.signbit(gm.value)) == (np.signbit(step), np.signbit(value))
+        on = x != 0
+        for t in (0.0, t_max, float(rng.uniform(0.0, t_max))):
+            shifted = x - t * grad
+            ranked = np.abs(shifted) if set_.kind == "sign-free" else shifted
+            want = float(ranked[on].min() - ranked[~on].max())
+            gap = support_gap(set_, x, grad, t)
+            assert (gap, np.signbit(gap)) == (want, np.signbit(want))
     # a subnormal gradient entry puts the kink beyond the largest float
     x, grad = np.array([1.0, 0.0, 0.0]), np.array([1e-309, 1.0, 0.5])
     gm = minimize_support_gap(full_space(), x, grad, 2.0)
-    assert (gm.step, gm.value) == gap_minimum_by_loop(x, grad, 2.0) == (2.0, -1.0)
+    assert (gm.step, gm.value) == gap_minimum_by_loop(full_space(), x, grad, 2.0) == (2.0, -1.0)
 
 
 def test_gap_concavity_on_nonnegative_sets():
@@ -261,20 +269,19 @@ def assert_matches_certified_grid(obj, set_, s, x, grid):
     st.booleans(),
     st.sampled_from([0.5, 1.0, 2.0]),
 )
-# general but not strong: a tie that enumeration finds two projections for
+# general but not strong: the last step ties two projections, so it is not certified
 @example(l1_ball(), 5, 309294, True, False, False, 0.5)
 # general but not strong: a step moves to a second projection as near as x
 @example(nonneg_orthant(), 6, 728916, True, True, False, 2.0)
-# an enumeration confirms uniqueness, and a later step moves
+# an uncertified step stays at x, and a later step moves
 @example(l1_ball(), 7, 527229, True, True, False, 2.0)
 def test_strong_check_matches_the_certified_grid_reference(
     set_, n, seed, ties, from_center, short, t_max
 ):
     # small integers make ties likely, and the dyadic grid hits them exactly,
-    # so uncertified steps occur and, at n <= 12, are confirmed by
-    # enumeration; projecting the center itself often lands on a stationary
-    # point, where every step reads the uniqueness flag; a start with fewer
-    # than s nonzeros gives ||x||_0 < s on all but the simplex
+    # so uncertified steps occur; projecting the center itself often lands on
+    # a stationary point, where every step reads the uniqueness flag; a start
+    # with fewer than s nonzeros gives ||x||_0 < s on all but the simplex
     rng = make_rng(seed)
     s = int(rng.integers(1, n))
 
@@ -289,23 +296,22 @@ def test_strong_check_matches_the_certified_grid_reference(
     assert_matches_certified_grid(quadratic(center), set_, s, x, default_grid(t_max, 9))
 
 
-def test_strong_check_enumerates_where_the_certificate_fails():
+def test_strong_check_reads_an_uncertified_step_as_not_strong():
     # x[1] = 1e-13 lies inside the certificate's margin, so no step is
-    # certified, and enumeration finds no projection farther than 1e-12 from x
+    # certified: every step stays at x, which is general but not strong
     x = np.array([1.0, 1e-13, 0.0])
     report = assert_matches_certified_grid(quadratic(x), full_space(), 2, x, default_grid(1.0, 9))
-    assert report.strong
+    assert (report.general, report.strong) == (True, False)
 
 
-def test_strong_check_enumerates_only_up_to_twelve_coordinates():
-    # the same uncertified point is strong at n = 12, where enumeration
-    # confirms its projection is unique, and not strong at n = 13, where no
-    # enumeration runs: the verdict depends on n
-    for n, strong in ((12, True), (13, False)):
+def test_strong_verdict_does_not_depend_on_n():
+    # the same uncertified point reads general and not strong at n = 12 and
+    # at n = 13: one rule at every n
+    for n in (12, 13):
         x = np.zeros(n)
         x[:2] = 1.0, 1e-13
         report = check_strong_stationary(quadratic(x), full_space(), 2, x, default_grid(1.0, 9), 1e-6)
-        assert (report.general, report.strong) == (True, strong)
+        assert (report.general, report.strong) == (True, False)
 
 
 def test_witnesses_always_improve():
