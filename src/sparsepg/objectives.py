@@ -9,12 +9,22 @@ solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
 support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
 the columns of its last support, and gathers them again only when S changes.
 That cache holds m * ||x||_0 floats, up to a second copy of ``A`` as
-||x||_0 nears n.  The gradient is ``A.T @ v`` for the loss derivative ``v``
-in ``p``: its entries on S come from the support columns, ``A[:, S].T @ v``,
-and only the others from the dense product.  ``grad`` and ``value_and_grad``
-thus cost one dense ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs
-only the entries on S (the screened steps of ``pg_solve``) gets them, bit
-for bit, for O(m * ||x||_0).
+||x||_0 nears n.  A caller that already knows S and its columns (the screened
+steps of ``pg_solve``) passes them in, and no n-wide scan for S runs.  The
+gradient is ``A.T @ v`` for the loss derivative ``v`` in ``p``: its entries
+on S come from the support columns, ``A[:, S].T @ v``, and only the others
+from the dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
+``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only the entries on
+S gets them, bit for bit, for O(m * ||x||_0).
+
+Each model forms its loss and derivative in one pass over ``p``, the same
+arithmetic on every path.  The logistic loss takes one ``logaddexp``: with
+``u = labels * p`` and ``l = logaddexp(0, -u)``, the loss is ``sum(l)`` and
+``v = -labels * exp(-l - u)``, since ``sigmoid(-u) = exp(-l - u)``.  The
+loss has the bits of a direct ``logaddexp`` sum, and ``v`` stays within
+``2 * eps * (1 + |u|)`` relative of the two-pass ``-labels * sigmoid(-u)``:
+``l`` and ``-l - u`` carry absolute rounding errors of order eps * |u|, which
+``exp`` turns into relative ones.
 """
 
 from __future__ import annotations
@@ -51,18 +61,14 @@ def _top_singular_value_sq(mat: np.ndarray) -> float:
     return lam
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-logaddexp(0, -z)) = 1/(1+exp(-z)), stable in both tails
-    return np.exp(-np.logaddexp(0.0, -z))
-
-
 class _LinearModel:
     """A loss of ``p = A @ x``: one evaluation path for every objective.
 
-    Subclasses supply ``_loss(p)`` and ``_dloss(p)``, the m-vector ``v`` with
-    gradient ``A.T @ v``.  ``value``, ``grad`` and ``value_and_grad`` check
-    ``x`` and form ``p`` once per call in ``_evaluate``, the only place that
-    forms ``A @ x``, and ``_gradient`` applies the support-column rule.
+    Subclasses supply ``_loss_and_dloss(p)``: the loss and the m-vector ``v``
+    with gradient ``A.T @ v``, from one pass over ``p``.  ``value``, ``grad``
+    and ``value_and_grad`` check ``x`` and form ``p`` once per call in
+    ``_evaluate``, the only place that forms ``A @ x``, and ``_gradient``
+    applies the support-column rule.
     """
 
     def __init__(self, A):
@@ -93,8 +99,18 @@ class _LinearModel:
         g[supp] = cols.T @ v
         return g
 
-    def _evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _evaluate(self, x, supp=None, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
+
+        ``supp`` and ``cols``, when given, must be the support of ``x`` and
+        ``A[:, supp]``; otherwise :meth:`_support_columns` finds them.
+        """
+        if supp is None:
+            supp, cols = self._support_columns(x)
+        return cols @ x[supp], supp, cols
+
+    def _support_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The support of ``x`` and its columns, by one n-wide scan.
 
         The columns of the last support are kept, and the same support array
         is returned for as long as S does not change.
@@ -103,18 +119,22 @@ class _LinearModel:
         # comparing the bytes is exact here, and 30x cheaper than np.array_equal
         if supp.tobytes() != self._supp.tobytes():
             self._supp, self._cols = supp, self.A[:, supp]
-        return self._cols @ x[supp], self._supp, self._cols
+        return self._supp, self._cols
+
+    def _loss(self, p: np.ndarray) -> float:
+        return self._loss_and_dloss(p)[0]
 
     def value(self, x) -> float:
         return self._loss(self._evaluate(as_vector(x, self.dim))[0])
 
     def grad(self, x) -> np.ndarray:
         p, supp, cols = self._evaluate(as_vector(x, self.dim))
-        return self._gradient(self._dloss(p), supp, cols)
+        return self._gradient(self._loss_and_dloss(p)[1], supp, cols)
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
         p, supp, cols = self._evaluate(as_vector(x, self.dim))
-        return self._loss(p), self._gradient(self._dloss(p), supp, cols)
+        f, v = self._loss_and_dloss(p)
+        return f, self._gradient(v, supp, cols)
 
 
 class LeastSquares(_LinearModel):
@@ -125,18 +145,16 @@ class LeastSquares(_LinearModel):
         self.b = as_vector(b, self.A.shape[0]).copy()
         self.b.flags.writeable = False
 
-    def _loss(self, p: np.ndarray) -> float:
+    def _loss_and_dloss(self, p: np.ndarray) -> tuple[float, np.ndarray]:
         r = p - self.b
-        return 0.5 * float(r @ r)
-
-    def _dloss(self, p: np.ndarray) -> np.ndarray:
-        return p - self.b
+        return 0.5 * float(r @ r), r
 
 
 class Logistic(_LinearModel):
     """f(x) = sum_i log(1 + exp(-b_i <a_i, x>)) with labels b_i in {-1, +1}.
 
-    Rows of ``A`` are the samples a_i.  Evaluation uses logaddexp so large
+    Rows of ``A`` are the samples a_i.  Evaluation takes one logaddexp pass
+    for the loss and its derivative (see the module docstring), so large
     margins neither overflow nor lose the tail.  The Lipschitz constant is
     that of A: flipping the sign of rows leaves A^T A unchanged, exactly in
     floating point, so the label-scaled matrix is never formed.
@@ -148,9 +166,16 @@ class Logistic(_LinearModel):
         self.labels.flags.writeable = False
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        self._flipped = -self.labels
 
     def _loss(self, p: np.ndarray) -> float:
-        return float(np.logaddexp(0.0, -(self.labels * p)).sum())
+        return float(np.logaddexp(0.0, self._flipped * p).sum())
 
-    def _dloss(self, p: np.ndarray) -> np.ndarray:
-        return -(self.labels * _sigmoid(-(self.labels * p)))
+    def _loss_and_dloss(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        # flipping signs is exact, so -u = -labels * p and v = -labels * exp(-u - l)
+        neg_u = self._flipped * p
+        ell = np.logaddexp(0.0, neg_u)
+        v = neg_u - ell
+        np.exp(v, out=v)  # sigmoid(-u)
+        v *= self._flipped
+        return float(ell.sum()), v

@@ -13,22 +13,35 @@ gradient, where ``v`` is the loss derivative in ``A @ x``.  When that bound
 proves that the top-s support of ``x - t * g`` is S, with no ties, the step
 projects on S alone: it needs only the gradient entries on S and costs
 O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
-Screened and dense steps give the same bits, because the objectives take the
-gradient entries on the support from the support columns on every path.  Any
-other objective takes the dense step.
+When every projected entry on S is nonzero, the new point has support S, and
+it is evaluated on S and its kept columns with no n-wide scan.  Screened and
+dense steps give the same bits, because the objectives take the gradient
+entries on the support from the support columns on every path, and both
+compute a step's ``move_sq`` and constraint gaps on supp(x) | supp(y) in
+ascending index order, which is S on a screened step.  Any other objective
+takes the dense step.
+
+A trace stores its per-iteration values as columns, one growable
+``array.array`` each: the objective value, the stepsize (NaN for None), the
+backtracks, ``move_sq``, the two constraint gaps, a step-kind code and the
+two ``projstep`` fields.  Supports are stored once per change, as (first
+iteration, support) pairs, since an iterate keeps one support for most of a
+run.  ``IterateTrace.records`` builds the :class:`IterationRecord` view of
+these columns on each access.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _norm, _Record, as_vector, support_of
+from .core import _norm, _plain, _Record, as_vector, support_of
 from .objectives import _LinearModel
-from .projection import _check_sparsity_level, _on_support, project_sparse
+from .projection import _check_sparsity_level, project_sparse
 from .sets import SymmetricSet
 from .stationarity import (
     StationarityReport,
@@ -160,17 +173,87 @@ class IterationRecord(_Record):
     projstep_dist_sq: float | None = None
 
 
-@dataclass
-class IterateTrace(_Record):
-    """Per-iteration records plus the final state and optional certificate.
+_STEP_KINDS = ("swap", "support_change_accept_hx", "support_change_accept_tx", "projected_gradient")
+_KIND_CODES = {kind: code for code, kind in enumerate(_STEP_KINDS)}
 
-    ``stop_reason`` is ``"converged"`` when the last iteration met the
-    ``f_tol`` test and ``"max_iter"`` when the iteration cap ended the run.
-    ``screened_steps`` counts the PG steps that skipped the dense gradient; it
-    is 0 for NPG and for objectives other than the package's linear models.
+
+def _none_if_nan(value: float) -> float | None:
+    return None if math.isnan(value) else value
+
+
+class _Columns:
+    """A solve's per-iteration values: entry k of each column is iteration k.
+
+    ``kind`` holds indices into ``_STEP_KINDS``; ``stepsize`` and the two
+    ``projstep`` columns hold NaN for None.  ``supports`` holds one
+    (first iteration, support) pair per change of support, each support
+    read-only, since the records of a run share it.
     """
 
-    records: list[IterationRecord]
+    def __init__(self):
+        self.f_value, self.stepsize, self.move_sq = array("d"), array("d"), array("d")
+        self.shape_gap, self.nonneg_gap = array("d"), array("d")
+        self.projstep_value, self.projstep_dist_sq = array("d"), array("d")
+        self.backtracks, self.kind = array("q"), array("b")
+        self.supports: list[tuple[int, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return len(self.f_value)
+
+    def append(
+        self, kind: str, f_value: float, stepsize: float | None, support: np.ndarray,
+        move_sq: float, gaps: tuple[float, float], backtracks: int = 0,
+        projstep_value: float = math.nan, projstep_dist_sq: float = math.nan,
+    ) -> None:
+        """Add one iteration; ``support`` is stored only when it differs from the last one."""
+        last = self.supports[-1][1] if self.supports else None
+        if support is not last and (last is None or support.tobytes() != last.tobytes()):
+            support.flags.writeable = False
+            self.supports.append((len(self.f_value), support))
+        self.kind.append(_KIND_CODES[kind])
+        self.f_value.append(f_value)
+        self.stepsize.append(math.nan if stepsize is None else stepsize)
+        self.backtracks.append(backtracks)
+        self.move_sq.append(move_sq)
+        self.shape_gap.append(gaps[0])
+        self.nonneg_gap.append(gaps[1])
+        self.projstep_value.append(projstep_value)
+        self.projstep_dist_sq.append(projstep_dist_sq)
+
+    def move_counts(self) -> list[int]:
+        """Iterations of each step kind, in ``_STEP_KINDS`` order."""
+        return [self.kind.count(code) for code in range(len(_STEP_KINDS))]
+
+    def records(self) -> list[IterationRecord]:
+        """One record per iteration, each support shared by the records until its next change."""
+        out = []
+        ends = [first for first, _ in self.supports[1:]] + [len(self)]
+        for (first, support), end in zip(self.supports, ends):
+            for k in range(first, end):
+                out.append(IterationRecord(
+                    k, _STEP_KINDS[self.kind[k]], self.f_value[k],
+                    _none_if_nan(self.stepsize[k]), support, self.backtracks[k],
+                    self.move_sq[k], self.shape_gap[k], self.nonneg_gap[k],
+                    _none_if_nan(self.projstep_value[k]), _none_if_nan(self.projstep_dist_sq[k]),
+                ))
+        return out
+
+
+@dataclass
+class IterateTrace(_Record):
+    """Per-iteration columns plus the final state and optional certificate.
+
+    ``records`` is the list of :class:`IterationRecord` views of the columns,
+    built anew on each access; its supports are read-only and shared between
+    the records of one support.  ``to_dict`` gives ``records`` first, then the
+    other fields in declaration order.  ``stop_reason`` is ``"converged"``
+    when the last iteration met the ``f_tol`` test and ``"max_iter"`` when the
+    iteration cap ended the run.  ``screened_steps`` counts the PG steps that
+    skipped the dense gradient; it is 0 for NPG and for objectives other than
+    the package's linear models.
+    """
+
+    _columns: _Columns = field(repr=False)
     f_initial: float
     x_final: np.ndarray
     f_final: float
@@ -181,9 +264,20 @@ class IterateTrace(_Record):
     screened_steps: int = 0
 
     @property
+    def records(self) -> list[IterationRecord]:
+        return self._columns.records()
+
+    @property
     def f_values(self) -> np.ndarray:
         """Objective values of all iterates, starting point first."""
-        return np.array([self.f_initial] + [r.f_value for r in self.records])
+        return np.concatenate(([self.f_initial], self._columns.f_value))
+
+    def to_dict(self) -> dict:
+        out = {"records": [r.to_dict() for r in self.records]}
+        for f in fields(self):
+            if f.name != "_columns":
+                out[f.name] = _plain(getattr(self, f.name))
+        return out
 
 
 def bb_initial_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
@@ -236,14 +330,14 @@ def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
 
 def _finish(
     obj, set_: SymmetricSet, s: int, x: np.ndarray, f_initial: float,
-    records: list[IterationRecord], converged: bool, start: float, certify: bool,
+    columns: _Columns, converged: bool, start: float, certify: bool,
     grid: np.ndarray, certify_tol: float, screened_steps: int = 0,
 ) -> IterateTrace:
     """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
     wall = time.perf_counter() - start
     certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
     return IterateTrace(
-        records, f_initial, x, records[-1].f_value, len(records), wall, certificate,
+        columns, f_initial, x, columns.f_value[-1], len(columns), wall, certificate,
         "converged" if converged else "max_iter", screened_steps,
     )
 
@@ -256,7 +350,7 @@ def _finite(value: float, k: int, phase: str) -> float:
 
 
 def _record(
-    k: int,
+    columns: _Columns,
     kind: str,
     f_value: float,
     stepsize: float | None,
@@ -264,22 +358,13 @@ def _record(
     x_old: np.ndarray,
     set_: SymmetricSet,
     backtracks: int = 0,
-    projstep_value: float | None = None,
-    projstep_dist_sq: float | None = None,
-) -> IterationRecord:
-    shape_gap, nonneg_gap = set_._constraint_gaps(x_new)
-    return IterationRecord(
-        k=k,
-        step_kind=kind,
-        f_value=f_value,
-        stepsize=stepsize,
-        support=x_new.nonzero()[0],
-        backtracks=backtracks,
-        move_sq=float(((x_new - x_old) ** 2).sum()),
-        shape_gap=shape_gap,
-        nonneg_gap=nonneg_gap,
-        projstep_value=projstep_value,
-        projstep_dist_sq=projstep_dist_sq,
+    projstep_value: float = math.nan,
+    projstep_dist_sq: float = math.nan,
+) -> None:
+    """Append an NPG iteration, with ``move_sq`` and the gaps summed over all n entries."""
+    columns.append(
+        kind, f_value, stepsize, x_new.nonzero()[0], float(((x_new - x_old) ** 2).sum()),
+        set_._constraint_gaps(x_new), backtracks, projstep_value, projstep_dist_sq,
     )
 
 
@@ -287,19 +372,23 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class _DenseSteps:
-    """PG gradients of any objective: one ``value_and_grad`` per iterate."""
+    """PG gradients of any objective: one ``value_and_grad`` per iterate.
+
+    ``evaluate`` keeps the support of the point, by one n-wide scan.
+    """
 
     screened = 0
 
     def __init__(self, obj):
         self.obj = obj
 
-    def evaluate(self, x: np.ndarray) -> float:
+    def evaluate(self, x: np.ndarray, supp: None = None) -> float:
         f, self.g = self.obj.value_and_grad(x)
+        self.supp = x.nonzero()[0]
         return f
 
-    def screened_step(self, x: np.ndarray, alpha: float) -> None:
-        return None
+    def screened_step(self, x: np.ndarray, alpha: float) -> tuple[None, None]:
+        return None, None
 
     def gradient(self) -> np.ndarray:
         return self.g
@@ -309,7 +398,8 @@ class _ScreenedSteps:
     """PG gradients of a linear model, with steps on the support where a bound allows.
 
     ``evaluate`` keeps the loss derivative ``v`` at the iterate and the
-    support S and columns ``A[:, S]`` that the model returns with ``p``.
+    support S and columns ``A[:, S]`` that the model returns with ``p``; a
+    point that ``screened_step`` proved to have support S is evaluated on them.
     ``gradient`` forms the dense gradient and makes it the reference of the
     bound: ``v_ref``, the largest off-support ranking value ``G`` of
     ``-g_ref`` and the largest off-support column norm ``C``, both refreshed
@@ -326,16 +416,22 @@ class _ScreenedSteps:
         self.norms: np.ndarray | None = None
         self.bound_supp: np.ndarray | None = None  # the support that G and C hold for
 
-    def evaluate(self, x: np.ndarray) -> float:
-        p, self.supp, self.cols = self.model._evaluate(x)
-        self.v = self.model._dloss(p)
-        return self.model._loss(p)
+    def evaluate(self, x: np.ndarray, supp: np.ndarray | None = None) -> float:
+        """f at ``x``; ``supp``, when given, is the kept support, and ``x`` has that support."""
+        p, self.supp, self.cols = self.model._evaluate(x, supp, None if supp is None else self.cols)
+        f, self.v = self.model._loss_and_dloss(p)
+        return f
 
-    def screened_step(self, x: np.ndarray, alpha: float) -> np.ndarray | None:
-        """The PG step projected on S alone, or None unless the bound proves S is the top-s support."""
+    def screened_step(
+        self, x: np.ndarray, alpha: float
+    ) -> tuple[np.ndarray, np.ndarray | None] | tuple[None, None]:
+        """The PG step projected on S alone, and S when the step keeps every entry of S nonzero.
+
+        Gives (None, None) unless the bound proves S is the top-s support.
+        """
         supp = self.supp
         if self.g_ref is None or supp.size != self.s:
-            return None
+            return None, None
         if self.bound_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
                 self.norms = np.sqrt(np.einsum("ij,ij->j", self.model.A, self.model.A))
@@ -366,9 +462,13 @@ class _ScreenedSteps:
         slack = 2 * (m + 3) * _EPS * self.C * (_norm(self.v) + self.v_ref_norm)
         slack += 4 * _EPS * (abs(self.G) + self.C * delta)
         if not float(self.set_.ranking_values(z).min()) > alpha * (self.G + self.C * delta + slack):
-            return None
+            return None, None
         self.screened += 1
-        return _on_support(self.set_, x.size, supp, z)
+        y_supp = self.set_.project_sub(z)
+        y = np.zeros(x.size)
+        y[supp] = y_supp
+        # an l1-ball soft threshold can zero an entry of S
+        return y, (supp if np.count_nonzero(y_supp) == supp.size else None)
 
     def gradient(self) -> np.ndarray:
         g = self.model._gradient(self.v, self.supp, self.cols)
@@ -410,27 +510,36 @@ def pg_solve(
     _require_tol(certify_tol)
     steps = _ScreenedSteps(obj, set_, s) if isinstance(obj, _LinearModel) else _DenseSteps(obj)
 
-    records: list[IterationRecord] = []
+    columns = _Columns()
     start = time.perf_counter()
     f_initial = fx = _finite(steps.evaluate(x), 0, "initial")
+    supp_x = steps.supp
     for k in range(max_iter):
-        y = steps.screened_step(x, alpha)
+        y, supp = steps.screened_step(x, alpha)
         if y is None:
             y = project_sparse(set_, s, x - alpha * steps.gradient()).point
-        fy = _finite(steps.evaluate(y), k, "step")
-        rec = _record(k, "projected_gradient", fy, alpha, y, x, set_)
-        if fy > fx - 0.5 * (1.0 / alpha - lipschitz) * rec.move_sq + 1e-9 * (1.0 + abs(fx)):
+        fy = _finite(steps.evaluate(y, supp), k, "step")
+        # a linear model returns the same support array while S stays put
+        supp_y = steps.supp
+        same = supp_y is supp_x or supp_y.tobytes() == supp_x.tobytes()
+        union = supp_y if same else np.union1d(supp_x, supp_y)
+        y_union = y[union]
+        move = y_union - x[union]
+        move_sq = float(move @ move)
+        if fy > fx - 0.5 * (1.0 / alpha - lipschitz) * move_sq + 1e-9 * (1.0 + abs(fx)):
             raise RuntimeError(
                 f"step at iteration {k} missed the descent bound; "
                 f"the objective's lipschitz {lipschitz!r} is likely understated"
             )
-        records.append(rec)
+        columns.append(
+            "projected_gradient", fy, alpha, supp_y, move_sq, set_._constraint_gaps(y_union)
+        )
         done = abs(fy - fx) <= f_tol
-        x, fx = y, fy
+        x, fx, supp_x = y, fy, supp_y
         if done:
             break
     return _finish(
-        obj, set_, s, x, f_initial, records, done, start, certify, grid, certify_tol,
+        obj, set_, s, x, f_initial, columns, done, start, certify, grid, certify_tol,
         steps.screened,
     )
 
@@ -470,19 +579,20 @@ def npg_solve(
     _require_tol(certify_tol)
     bound = max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink)
 
-    records: list[IterationRecord] = []
+    columns = _Columns()
     start = time.perf_counter()
     f_initial, g = obj.value_and_grad(x)
     f_hist = [_finite(f_initial, 0, "initial")]
     x_prev = g_prev = None
     for k in range(config.max_iter):
         moving = np.count_nonzero(x) > 0
-        rec: IterationRecord | None = None
+        x_new = None
         if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
                 f_y = _finite(obj.value(y), k, "swap")
-                x_new, rec = y, _record(k, "swap", f_y, None, y, x, set_)
+                x_new = y
+                _record(columns, "swap", f_y, None, y, x, set_)
         elif k % config.N == config.q and moving:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
@@ -494,14 +604,16 @@ def npg_solve(
                     f_xh = _finite(obj.value(xh), k, "support change")
                     dist_sq = float(((xh - xt) ** 2).sum())
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
-                        x_new, rec = xh, _record(
-                            k, "support_change_accept_hx", f_xh, beta, xh, x, set_,
+                        x_new = xh
+                        _record(
+                            columns, "support_change_accept_hx", f_xh, beta, xh, x, set_,
                             projstep_value=f_xt, projstep_dist_sq=dist_sq,
                         )
-                if rec is None and beta > 0:
-                    x_new, rec = xt, _record(k, "support_change_accept_tx", f_xt, beta, xt, x, set_)
+                if x_new is None and beta > 0:
+                    x_new = xt
+                    _record(columns, "support_change_accept_tx", f_xt, beta, xt, x, set_)
 
-        if rec is None:
+        if x_new is None:
             if x_prev is None:
                 t_trial = min(config.t_max, max(config.t_min, 1.0))
             else:
@@ -520,15 +632,13 @@ def npg_solve(
                         f"backtracking at iteration {k} exceeded max_backtracks = {bound}; "
                         f"the objective's lipschitz {lipschitz!r} is likely understated"
                     )
-            x_new, rec = w, _record(
-                k, "projected_gradient", fw, t_trial, w, x, set_, backtracks=backtracks
-            )
+            x_new = w
+            _record(columns, "projected_gradient", fw, t_trial, w, x, set_, backtracks=backtracks)
 
-        records.append(rec)
-        f_hist.append(rec.f_value)
+        f_hist.append(columns.f_value[-1])
         x_prev, g_prev, x = x, g, x_new
         done = abs(f_hist[-1] - f_hist[-2]) <= config.f_tol
         if done:
             break
         g = obj.grad(x)
-    return _finish(obj, set_, s, x, f_initial, records, done, start, certify, grid, certify_tol)
+    return _finish(obj, set_, s, x, f_initial, columns, done, start, certify, grid, certify_tol)

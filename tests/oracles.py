@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from sparsepg import StationarityReport, certify_unique, project_sparse, support_of
-from sparsepg.subroutines import _swap_candidates
+from sparsepg.subroutines import _swap_candidates, change_support, coordinate_swap
 
 
 def gap_on_grid(set_, x, grad, t_max, base_points=10_000):
@@ -138,3 +138,25 @@ def simplex_threshold_reference(x, r):
     rho = (u * k > css - r).nonzero()[0][-1]
     lam = (css[rho] - r) / (rho + 1.0)
     return np.maximum(x - lam, 0.0)
+
+
+def replay_iterates(obj, set_, s, x0, records):
+    """The iterates x_1, x_2, ... of a PG or NPG trace, rebuilt from its step kinds and stepsizes.
+
+    Each step repeats its move from the previous iterate with the public
+    functions: a swap is ``coordinate_swap``, a support change accepting the
+    edited point is ``change_support`` of the projection at the record's
+    stepsize, and every other step is that projection of a dense gradient
+    step.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    iterates = []
+    for rec in records:
+        if rec.step_kind == "swap":
+            x = coordinate_swap(obj, set_, x)
+        else:
+            x = project_sparse(set_, s, x - rec.stepsize * obj.grad(x)).point
+            if rec.step_kind == "support_change_accept_hx":
+                x = change_support(obj, set_, s, x, rec.stepsize)
+        iterates.append(x)
+    return iterates

@@ -30,6 +30,15 @@ def test_gen_solve_certify_flow(tmp_path, capsys):
     assert "npg:" in out
     trace = json.loads(trace_path.read_text())
     assert trace["iterations"] >= 1
+    # the summary ends with the moves by kind (swap/hx/tx/pg) and the total backtracks
+    kinds = [r["step_kind"] for r in trace["records"]]
+    moves = "/".join(str(kinds.count(kind)) for kind in (
+        "swap", "support_change_accept_hx", "support_change_accept_tx", "projected_gradient",
+    ))
+    backtracks = sum(r["backtracks"] for r in trace["records"])
+    assert out.rstrip("\n").endswith(
+        f"screened_steps=0 moves={moves} backtracks={backtracks}"
+    )
     assert trace["certificate"]["general"] in (True, False)
 
     point_path = tmp_path / "point.txt"

@@ -201,7 +201,7 @@ def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros)
             x[supp] = rng.standard_normal(nonzeros)
             grad = obj.grad(x)
             cols = obj.A[:, supp]
-            v = obj._dloss(cols @ x[supp])
+            v = obj._loss_and_dloss(cols @ x[supp])[1]
             assert np.array_equal(grad[supp], cols.T @ v)
             off = np.setdiff1d(np.arange(obj.dim), supp)
             assert np.array_equal(grad[off], (obj.A.T @ v)[off])
@@ -255,6 +255,27 @@ def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
         assert (supp is last) == (last is not None and np.array_equal(supp, last))
         assert np.array_equal(supp, x.nonzero()[0])
         last = supp
+
+
+def test_one_pass_logistic_derivative_matches_the_two_pass_sigmoid_form():
+    # v = -labels * exp(-l - u) with l = logaddexp(0, -u) stays within
+    # 2 eps (1 + |u|) relative of -labels * sigmoid(-u) taken in a second
+    # logaddexp pass, up to one subnormal; the loss keeps its bits
+    rng = make_rng(11)
+    mag = np.concatenate([
+        rng.uniform(0.0, 1e3, 20_000),
+        10.0 ** rng.uniform(-300.0, 3.0, 20_000),
+        [0.0, 1e-320, 1.0, 36.0, 37.0, 709.0, 740.0, 745.0, 746.0, 1e3],
+    ])
+    u = mag * rng.choice([-1.0, 1.0], mag.size)
+    labels = rng.choice([-1.0, 1.0], mag.size)
+    obj = Logistic(np.ones((u.size, 1)), labels)
+    p = labels * u  # labels * p == u exactly
+    f, v = obj._loss_and_dloss(p)
+    two_pass = -(labels * np.exp(-np.logaddexp(0.0, u)))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(v - two_pass) <= 2 * eps * (1 + np.abs(u)) * np.abs(two_pass) + tiny)
+    assert f == float(np.logaddexp(0.0, -u).sum()) == obj._loss(p)
 
 
 def test_logistic_lipschitz_equals_label_scaled_estimate():

@@ -24,7 +24,10 @@ from sparsepg import (
     pg_solve,
     support_of,
 )
+from sparsepg.bench import solve_instance
+from sparsepg.objectives import _LinearModel
 from sparsepg.solvers import _bb_stepsize
+from oracles import replay_iterates
 
 
 def quadratic(center):
@@ -311,6 +314,48 @@ def test_trace_serializes_to_json():
     assert back["certificate"]["strong"] is True
 
 
+@pytest.mark.parametrize("method", ["pg", "npg"])
+@pytest.mark.parametrize("family", ["cs-least-squares", "logistic", "simplex-least-squares"])
+def test_trace_columns_serialize_as_the_records_view_and_match_a_replay(family, method):
+    # at this seed and s, PG changes support at least once on every family
+    inst = gen_instance(family, 40, 120, 1, s=12)
+    trace = solve_instance(inst, method, 50, 1e-6, f_tol=1e-8, max_iter=400)
+    assert (trace.screened_steps > 0) == (method == "pg")
+    records = trace.records
+    assert len(records) == trace.iterations
+    assert [r.k for r in records] == list(range(trace.iterations))
+    expected = {
+        "records": [r.to_dict() for r in records],
+        "f_initial": trace.f_initial,
+        "x_final": trace.x_final.tolist(),
+        "f_final": trace.f_final,
+        "iterations": trace.iterations,
+        "wall_time_seconds": trace.wall_time_seconds,
+        "certificate": trace.certificate.to_dict(),
+        "stop_reason": trace.stop_reason,
+        "screened_steps": trace.screened_steps,
+    }
+    assert list(trace.to_dict().items()) == list(expected.items())
+    for r in records:  # the columns' NaN reads back as None, only where None was stored
+        assert (r.stepsize is None) == (r.step_kind == "swap")
+        hx = r.step_kind == "support_change_accept_hx"
+        assert (r.projstep_value is None) == (r.projstep_dist_sq is None) == (not hx)
+
+    # the store keeps one support per change, which every iterate until the next change has
+    iterates = replay_iterates(inst.objective, inst.set_, inst.s, inst.x0, records)
+    changes = trace._columns.supports
+    assert changes[0][0] == 0
+    ends = [first for first, _ in changes[1:]] + [trace.iterations]
+    for (first, support), end, previous in zip(changes, ends, [None] + changes[:-1]):
+        assert previous is None or not np.array_equal(previous[1], support)
+        assert first < end
+        for k in range(first, end):
+            assert np.array_equal(support, np.flatnonzero(iterates[k]))
+            assert records[k].support is support
+    assert np.array_equal(iterates[-1], trace.x_final)
+    assert len(changes) >= 2
+
+
 def test_max_backtracks_formula():
     # L=1, c2=1e-4, t_max=1e8, shrink=0.5: floor(log((1+1e-4)*1e8)/log 2 + 2)
     assert max_backtracks(1.0, 1e-4, 1e8, 0.5) == 28
@@ -463,12 +508,22 @@ def test_npg_trace_invariants_on_every_set_and_loss(problem):
     check_npg_trace_invariants(trace, obj, set_, s, config)
 
 
-def test_screening_covers_table2_pg_after_the_first_steps():
+def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
+    # the n-wide scan for the support runs at the start and on dense steps only
+    scans = []
+    scan = _LinearModel._support_columns
+
+    def counted(model, x):
+        scans.append(x.size)
+        return scan(model, x)
+
+    monkeypatch.setattr(_LinearModel, "_support_columns", counted)
     inst = gen_instance("logistic", 500, 1000, 2000)
     alpha = default_stepsize(inst.objective.lipschitz)
     trace = pg_solve(inst.objective, inst.set_, inst.s, inst.x0, alpha, max_iter=250, certify=False)
     assert trace.iterations == 250
     assert trace.screened_steps >= 248
+    assert scans == [1000] * (1 + trace.iterations - trace.screened_steps)
 
 
 def test_stop_reason():
