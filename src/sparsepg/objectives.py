@@ -20,8 +20,9 @@ solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
 support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
 the columns of its last support, and gathers them again only when S changes.
 That cache holds m * ||x||_0 floats, up to a second copy of ``A`` as
-||x||_0 nears n.  A caller that already knows S and its columns (the screened
-steps of ``pg_solve``) passes them in, and no n-wide scan for S runs.  The
+||x||_0 nears n.  A caller that holds a point by its values ``x_S`` on a
+known S (the screened steps of ``pg_solve``) forms ``p = A[:, S] @ x_S`` from
+the kept columns, the same product, and no n-wide scan for S runs.  The
 gradient is ``A.T @ v`` for the loss derivative ``v`` in ``p``: its entries
 on S come from the support columns, ``A[:, S].T @ v``, and only the others
 from the dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
@@ -107,8 +108,7 @@ class _LinearModel:
     Subclasses supply ``_loss_and_dloss(p)``: the loss and the m-vector ``v``
     with gradient ``A.T @ v``, from one pass over ``p``.  ``value``, ``grad``
     and ``value_and_grad`` check ``x`` and form ``p`` once per call in
-    ``_evaluate``, the only place that forms ``A @ x``, and ``_gradient``
-    applies the support-column rule.
+    ``_evaluate``, and ``_gradient`` applies the support-column rule.
     """
 
     def __init__(self, A):
@@ -145,14 +145,9 @@ class _LinearModel:
         g[supp] = cols.T @ v
         return g
 
-    def _evaluate(self, x, supp=None, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
-
-        ``supp`` and ``cols``, when given, must be the support of ``x`` and
-        ``A[:, supp]``; otherwise :meth:`_support_columns` finds them.
-        """
-        if supp is None:
-            supp, cols = self._support_columns(x)
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``."""
+        supp, cols = self._support_columns(x)
         return cols @ x[supp], supp, cols
 
     def _support_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ conditions, checked by ``certify_unique``, certify when it is the unique one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     partition instead of a full sort.
     """
     n = ranked.size
-    threshold = ranked[ranked.argpartition(n - s)[n - s]]
+    threshold = np.partition(ranked, n - s)[n - s]
     chosen = ranked > threshold
     missing = s - int(np.count_nonzero(chosen))
     if missing:
@@ -93,7 +94,13 @@ def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]
     """Testing oracle: enumerate every size-``s`` support and keep all minimizers.
 
     Returns the distinct points attaining the minimal squared distance within
-    relative tolerance 1e-10.  Guarded to small instances.
+    relative tolerance 1e-10.  Guarded to small instances.  A support T scores
+    ``||P(x_T) - x_T||^2 + ||x off T||^2``, the squared distance of its point
+    from ``x``.  The supports are visited in ascending order of a lower bound
+    on the score, ``||x off T||^2`` plus, on nonnegative sets, the squared
+    negative part of ``x_T`` (up to rounding, far below the tolerance), and
+    the visit stops once the bound passes the tolerance of the best score so
+    far.  Points are built only for the supports within the tolerance.
     """
     x = as_vector(x)
     n = x.size
@@ -101,20 +108,35 @@ def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]
     if n > _BRUTE_MAX_N:
         raise ValueError(f"brute force limited to n <= {_BRUTE_MAX_N}, got n={n}")
 
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
-    best = np.inf
-    for combo in itertools.combinations(range(n), s):
-        support = np.array(combo, dtype=np.intp)
-        point = _on_support(set_, n, support, x[support])
-        dist = float(np.sum((point - x) ** 2))
-        candidates.append((dist, point, support))
-        best = min(best, dist)
+    count = math.comb(n, s)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), s))
+    supports = np.fromiter(combos, dtype=np.intp, count=count * s).reshape(count, s)
+    off = np.ones((count, n), dtype=bool)
+    off[np.arange(count)[:, None], supports] = False
+    sq = x * x
+    off_sq = (off * sq).sum(axis=1)
+    floors = off_sq
+    if set_.kind == "nonnegative":  # P(x_T) >= 0 moves each negative entry to 0 or beyond
+        floors = np.where(off, sq, np.minimum(x, 0.0) ** 2).sum(axis=1)
+    order = np.argsort(floors, kind="stable").tolist()
+    floors, off_sq = floors.tolist(), off_sq.tolist()
+    on = x[supports]  # row i holds x on support i
+    scores = [math.inf] * count
+    points = {}
+    best = math.inf
+    for i in order:
+        if floors[i] > best + 1e-10 * (1.0 + best):
+            break
+        points[i] = set_._project(on[i])
+        moved = points[i] - on[i]
+        scores[i] = float(moved @ moved) + off_sq[i]
+        best = min(best, scores[i])
 
     cutoff = best + 1e-10 * (1.0 + best)
     winners: list[SparseProjection] = []
-    for dist, point, support in candidates:
-        if dist <= cutoff and not any(
-            np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners
-        ):
-            winners.append(SparseProjection(point, support))
+    for i in sorted(i for i in points if scores[i] <= cutoff):
+        point = np.zeros(n)
+        point[supports[i]] = points[i]
+        if not any(np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners):
+            winners.append(SparseProjection(point, supports[i]))
     return winners

@@ -13,11 +13,17 @@ gradient, where ``v`` is the loss derivative in ``A @ x``.  When that bound
 proves that the top-s support of ``x - t * g`` is S, with no ties, the step
 projects on S alone: it needs only the gradient entries on S and costs
 O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
-When every projected entry on S is nonzero, the new point has support S, and
-it is evaluated on S and its kept columns with no n-wide scan.  Screened and
-dense steps give the same bits, because the objectives take the gradient
-entries on the support from the support columns on every path, and both
-compute a step's ``move_sq`` and constraint gaps on supp(x) | supp(y) in
+A step on S whose entries are not all finite fails the bound and goes dense.
+
+While steps screen and keep every entry of S nonzero, the iterate is held as
+its s values on S alone: the new point is evaluated as ``A[:, S] @ y_S`` from
+the kept columns, with no n-wide scan, and its ``move_sq`` and constraint
+gaps come from the s-vectors.  The n-vector is built only for a dense step,
+for a screened step whose projection zeroes an entry of S (an l1-ball soft
+threshold can), and for the returned trace.  Screened and dense steps give
+the same bits, because the objectives take the gradient entries on the
+support from the support columns on every path, and every step computes its
+``move_sq`` and constraint gaps in one place, on supp(x) | supp(y) in
 ascending index order, which is S on a screened step.  Any other objective
 takes the dense step.
 
@@ -42,7 +48,7 @@ import numpy as np
 from .core import _norm, _plain, _Record, as_vector, support_of
 from .objectives import _LinearModel
 from .projection import _check_sparsity_level, project_sparse
-from .sets import SymmetricSet
+from .sets import _SCALAR_MAX, SymmetricSet
 from .stationarity import (
     StationarityReport,
     _off_support_slope,
@@ -371,6 +377,13 @@ def _record(
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _scatter(n: int, supp: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The n-vector holding ``values`` on ``supp`` and zeros elsewhere."""
+    x = np.zeros(n)
+    x[supp] = values
+    return x
+
+
 class _DenseSteps:
     """PG gradients of any objective: one ``value_and_grad`` per iterate.
 
@@ -382,31 +395,44 @@ class _DenseSteps:
     def __init__(self, obj):
         self.obj = obj
 
-    def evaluate(self, x: np.ndarray, supp: None = None) -> float:
+    def evaluate(self, x: np.ndarray) -> float:
         f, self.g = self.obj.value_and_grad(x)
         self.supp = x.nonzero()[0]
         return f
 
-    def screened_step(self, x: np.ndarray, alpha: float) -> tuple[None, None]:
-        return None, None
+    def screened_step(self, x_supp: np.ndarray, alpha: float) -> None:
+        return None
 
     def gradient(self) -> np.ndarray:
         return self.g
+
+
+def _finite_min(values: np.ndarray) -> float:
+    """``float(values.min())`` when every entry is finite, else NaN.
+
+    A finite sum proves every entry finite, as in :func:`as_vector`.  Up to
+    ``_SCALAR_MAX`` entries the sum and the minimum run in Python floats,
+    where ``min`` alone would skip a NaN that does not come first.
+    """
+    if values.size <= _SCALAR_MAX:
+        entries = values.tolist()
+        return min(entries) if math.isfinite(sum(entries)) else math.nan
+    return float(values.min()) if math.isfinite(values.sum()) else math.nan
 
 
 class _ScreenedSteps:
     """PG gradients of a linear model, with steps on the support where a bound allows.
 
     ``evaluate`` keeps the loss derivative ``v`` at the iterate and the
-    support S and columns ``A[:, S]`` that the model returns with ``p``; a
-    point that ``screened_step`` proved to have support S is evaluated on them.
-    ``gradient`` forms the dense gradient and makes it the reference of the
-    bound: ``v_ref``, the largest off-support ranking value ``G`` of
-    ``-g_ref`` and the largest off-support column norm ``C``, both refreshed
-    when S changes.  The column norms are computed once per solve, not kept
-    on the objective: kept on each objective, they raised the peak RSS of a
-    one-pass pg-logistic benchmark run (32 objectives) by 4 MB, against
-    0.4 MB when computed per solve.
+    support S and columns ``A[:, S]`` that the model returns with ``p``;
+    ``evaluate_on_support`` evaluates a point with support S from its values
+    on S and the kept columns.  ``gradient`` forms the dense gradient and
+    makes it the reference of the bound: ``v_ref``, the largest off-support
+    ranking value ``G`` of ``-g_ref`` and the largest off-support column norm
+    ``C``, both refreshed when S changes.  The column norms are computed once
+    per solve, not kept on the objective: kept on each objective, they raised
+    the peak RSS of a one-pass pg-logistic benchmark run (32 objectives) by
+    4 MB, against 0.4 MB when computed per solve.
     """
 
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
@@ -416,29 +442,33 @@ class _ScreenedSteps:
         self.norms: np.ndarray | None = None
         self.bound_supp: np.ndarray | None = None  # the support that G and C hold for
 
-    def evaluate(self, x: np.ndarray, supp: np.ndarray | None = None) -> float:
-        """f at ``x``; ``supp``, when given, is the kept support, and ``x`` has that support."""
-        p, self.supp, self.cols = self.model._evaluate(x, supp, None if supp is None else self.cols)
+    def evaluate(self, x: np.ndarray) -> float:
+        """f at ``x``, whose support and columns the model finds by one n-wide scan."""
+        p, self.supp, self.cols = self.model._evaluate(x)
         f, self.v = self.model._loss_and_dloss(p)
         return f
 
-    def screened_step(
-        self, x: np.ndarray, alpha: float
-    ) -> tuple[np.ndarray, np.ndarray | None] | tuple[None, None]:
-        """The PG step projected on S alone, and S when the step keeps every entry of S nonzero.
+    def evaluate_on_support(self, y_supp: np.ndarray) -> float:
+        """f at the point that holds ``y_supp`` on S and zeros elsewhere."""
+        f, self.v = self.model._loss_and_dloss(self.cols @ y_supp)
+        return f
 
-        Gives (None, None) unless the bound proves S is the top-s support.
+    def screened_step(self, x_supp: np.ndarray, alpha: float) -> np.ndarray | None:
+        """The PG step from the point holding ``x_supp`` on S, projected on S alone.
+
+        Gives the new values on S, or None unless the bound proves that S is
+        the top-s support.
         """
         supp = self.supp
         if self.g_ref is None or supp.size != self.s:
-            return None, None
+            return None
         if self.bound_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
                 self.norms = np.sqrt(np.einsum("ij,ij->j", self.model.A, self.model.A))
             self.G = _off_support_slope(self.set_, self.g_ref, supp)
             self.C = float(np.delete(self.norms, supp).max())
             self.bound_supp = supp
-        z = x[supp] - alpha * (self.cols.T @ self.v)
+        z = x_supp - alpha * (self.cols.T @ self.v)
         # Off S, x_j = 0 and the dense step ranks fl(-t*g_j) (its absolute
         # value on sign-free sets), g_j the computed (A.T @ v)_j.  Exactly,
         # g_j - g_ref_j = a_j.(v - v_ref), at most c_j*||v - v_ref||, so every
@@ -461,14 +491,11 @@ class _ScreenedSteps:
         delta = _norm(self.v - self.v_ref)
         slack = 2 * (m + 3) * _EPS * self.C * (_norm(self.v) + self.v_ref_norm)
         slack += 4 * _EPS * (abs(self.G) + self.C * delta)
-        if not float(self.set_.ranking_values(z).min()) > alpha * (self.G + self.C * delta + slack):
-            return None, None
+        if not _finite_min(self.set_.ranking_values(z)) > alpha * (self.G + self.C * delta + slack):
+            return None
         self.screened += 1
-        y_supp = self.set_.project_sub(z)
-        y = np.zeros(x.size)
-        y[supp] = y_supp
-        # an l1-ball soft threshold can zero an entry of S
-        return y, (supp if np.count_nonzero(y_supp) == supp.size else None)
+        # z is finite: a non-finite entry fails the test above
+        return self.set_._project(z)
 
     def gradient(self) -> np.ndarray:
         g = self.model._gradient(self.v, self.supp, self.cols)
@@ -509,35 +536,48 @@ def pg_solve(
     grid = default_grid(alpha, certify_grid_points)
     _require_tol(certify_tol)
     steps = _ScreenedSteps(obj, set_, s) if isinstance(obj, _LinearModel) else _DenseSteps(obj)
+    n = x.size
 
     columns = _Columns()
     start = time.perf_counter()
     f_initial = fx = _finite(steps.evaluate(x), 0, "initial")
     supp_x = steps.supp
+    x_supp = x[supp_x]
     for k in range(max_iter):
-        y, supp = steps.screened_step(x, alpha)
-        if y is None:
-            y = project_sparse(set_, s, x - alpha * steps.gradient()).point
-        fy = _finite(steps.evaluate(y, supp), k, "step")
-        # a linear model returns the same support array while S stays put
-        supp_y = steps.supp
-        same = supp_y is supp_x or supp_y.tobytes() == supp_x.tobytes()
-        union = supp_y if same else np.union1d(supp_x, supp_y)
-        y_union = y[union]
-        move = y_union - x[union]
-        move_sq = float(move @ move)
+        # x is None while the iterate is held by its values x_supp on supp_x alone
+        y_supp = steps.screened_step(x_supp, alpha)
+        if y_supp is not None and np.count_nonzero(y_supp) == y_supp.size:
+            y, supp_y, old, new = None, supp_x, x_supp, y_supp
+            fy = steps.evaluate_on_support(y_supp)
+        else:
+            if x is None:
+                x = _scatter(n, supp_x, x_supp)
+            if y_supp is None:
+                y = project_sparse(set_, s, x - alpha * steps.gradient()).point
+            else:  # an l1-ball soft threshold zeroed an entry of S
+                y = _scatter(n, supp_x, y_supp)
+            fy = steps.evaluate(y)
+            # a linear model returns the same support array while S stays put
+            supp_y = steps.supp
+            same = supp_y is supp_x or supp_y.tobytes() == supp_x.tobytes()
+            union = supp_y if same else np.union1d(supp_x, supp_y)
+            old, new = x[union], y[union]
+        fy = _finite(fy, k, "step")
+        move = new - old
+        move_sq = float(move.dot(move))
         if fy > fx - 0.5 * (1.0 / alpha - lipschitz) * move_sq + 1e-9 * (1.0 + abs(fx)):
             raise RuntimeError(
                 f"step at iteration {k} missed the descent bound; "
                 f"the objective's lipschitz {lipschitz!r} is likely understated"
             )
-        columns.append(
-            "projected_gradient", fy, alpha, supp_y, move_sq, set_._constraint_gaps(y_union)
-        )
+        columns.append("projected_gradient", fy, alpha, supp_y, move_sq, set_._constraint_gaps(new))
         done = abs(fy - fx) <= f_tol
         x, fx, supp_x = y, fy, supp_y
+        x_supp = y_supp if y is None else y[supp_y]
         if done:
             break
+    if x is None:
+        x = _scatter(n, supp_x, x_supp)
     return _finish(
         obj, set_, s, x, f_initial, columns, done, start, certify, grid, certify_tol,
         steps.screened,

@@ -188,7 +188,7 @@ def check_strong_stationary(
                 strong = False
             continue
         strong = False
-        if float(((x - a) ** 2).sum()) > float(((proj.point - a) ** 2).sum()) + tol:
+        if general and float(((x - a) ** 2).sum()) > float(((proj.point - a) ** 2).sum()) + tol:
             general = False
         drop = fx - obj.value(proj.point)
         if drop > best_drop:

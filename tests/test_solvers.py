@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sparsepg import (
     full_space,
     gen_cs_instance,
     gen_instance,
+    l1_ball,
     make_rng,
     max_backtracks,
     nonneg_simplex,
@@ -26,7 +28,8 @@ from sparsepg import (
 )
 from sparsepg.bench import solve_instance
 from sparsepg.objectives import _LinearModel
-from sparsepg.solvers import _bb_stepsize
+from sparsepg.sets import _SCALAR_MAX
+from sparsepg.solvers import _bb_stepsize, _finite_min, _ScreenedSteps
 from oracles import replay_iterates
 
 
@@ -352,6 +355,12 @@ def test_trace_columns_serialize_as_the_records_view_and_match_a_replay(family, 
         for k in range(first, end):
             assert np.array_equal(support, np.flatnonzero(iterates[k]))
             assert records[k].support is support
+    if method == "pg":  # every PG step, screened or dense, measures on supp(x) | supp(y)
+        for rec, x, y in zip(records, [inst.x0] + iterates, iterates):
+            union = np.union1d(np.flatnonzero(x), np.flatnonzero(y))
+            move = y[union] - x[union]
+            assert rec.move_sq == float(move @ move)
+            assert (rec.shape_gap, rec.nonneg_gap) == inst.set_.constraint_gaps(y[union])
     assert np.array_equal(iterates[-1], trace.x_final)
     assert len(changes) >= 2
 
@@ -509,6 +518,72 @@ def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
     assert trace.iterations == 250
     assert trace.screened_steps >= 248
     assert scans == [1000] * (1 + trace.iterations - trace.screened_steps)
+    dense = pg_solve(
+        PublicProtocol(inst.objective), inst.set_, inst.s, inst.x0, alpha, max_iter=250,
+        certify=False,
+    )
+    assert [r.to_dict() for r in trace.records] == [r.to_dict() for r in dense.records]
+    assert np.array_equal(trace.x_final, dense.x_final)
+
+
+def test_a_screened_step_that_zeroes_an_entry_of_the_support_keeps_the_dense_bits(monkeypatch):
+    # the l1-ball soft threshold zeroes an entry of S on a screened step, the
+    # one screened step after which the n-vector of the iterate is rebuilt
+    zeroed = []
+    step = _ScreenedSteps.screened_step
+
+    def counted(steps, x_supp, alpha):
+        y_supp = step(steps, x_supp, alpha)
+        zeroed.append(y_supp is not None and np.count_nonzero(y_supp) < y_supp.size)
+        return y_supp
+
+    monkeypatch.setattr(_ScreenedSteps, "screened_step", counted)
+    rng = make_rng(42)
+    obj = LeastSquares(rng.standard_normal((8, 12)), rng.standard_normal(8))
+    alpha = default_stepsize(obj.lipschitz)
+    trace = pg_solve(obj, l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
+    dense = pg_solve(PublicProtocol(obj), l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
+    assert zeroed.count(True) == 1 and trace.screened_steps >= 10
+    k = zeroed.index(True)
+    assert trace.records[k].support.size < 3 <= trace.records[k - 1].support.size
+    assert [r.to_dict() for r in trace.records] == [r.to_dict() for r in dense.records]
+    assert np.array_equal(trace.x_final, dense.x_final)
+
+
+@pytest.mark.parametrize("s", [3, _SCALAR_MAX + 2])
+def test_a_non_finite_step_on_the_support_never_screens(s):
+    # Python's min returns a number when a NaN is not the first entry, where
+    # np.min returns NaN; without a check, such a step could pass the test.
+    # At the minimizer of a least-squares fit on S, v = 0 and the screening
+    # threshold is 0, so the finite step screens on every set.
+    n = s + 5
+    b = np.zeros(n)
+    b[:s] = np.arange(s, 0, -1.0)
+    obj = LeastSquares(np.eye(n), b)
+    for set_ in catalog(1e3):
+        steps = _ScreenedSteps(obj, set_, s)
+        steps.evaluate(b)
+        steps.gradient()
+        x_supp = b[steps.supp]
+        assert steps.screened_step(x_supp, 0.5) is not None
+        for where in range(s):
+            for bad in (math.nan, math.inf, -math.inf):
+                z = x_supp.copy()
+                z[where] = bad
+                assert steps.screened_step(z, 0.5) is None, (set_, where, bad)
+
+
+@pytest.mark.parametrize("size", [1, 5, _SCALAR_MAX, _SCALAR_MAX + 1])
+def test_the_screening_minimum_is_np_min_of_finite_entries_and_nan_otherwise(size):
+    rng = make_rng(size)
+    for _ in range(20):
+        values = rng.standard_normal(size)
+        assert _finite_min(values) == float(values.min())
+        for where in range(size):
+            for bad in (math.nan, math.inf, -math.inf):
+                spoiled = values.copy()
+                spoiled[where] = bad
+                assert math.isnan(_finite_min(spoiled))
 
 
 def test_stop_reason():
