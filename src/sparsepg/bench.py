@@ -66,7 +66,7 @@ class Instance:
 
 def _instance(family: str, objective: LeastSquares | Logistic, set_: SymmetricSet, s: int,
               x0: np.ndarray, **extra) -> Instance:
-    """An instance of the objective's m x n shape; :func:`gen_instance` sets the seed."""
+    """An instance of the objective's m x n shape; the caller sets the seed."""
     m, n = objective.A.shape
     return Instance(family, m, n, s, -1, objective, set_, x0, **extra)
 
@@ -266,15 +266,14 @@ def run_benchmark(
                        seed=inst.seed)
             try:
                 trace = solve_instance(inst, method, grid_points, tol, 1e-8, 100_000)
-                cert = trace.certificate
                 rows.append(
                     BenchRow(
                         **key,
                         cardinality=int(support_of(trace.x_final).size),
                         objective=trace.f_final,
                         time_s=trace.wall_time_seconds,
-                        strong_stationary=None if cert is None else cert.strong,
-                        violation=None if cert is None else cert.worst_violation,
+                        strong_stationary=trace.certificate.strong,
+                        violation=trace.certificate.worst_violation,
                         iterations=trace.iterations,
                         stop_reason=trace.stop_reason,
                     )
@@ -347,18 +346,10 @@ def load_instance(path: str) -> Instance:
         objective = model(matrix, target)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return Instance(
-        family=meta["family"],
-        m=meta["m"],
-        n=meta["n"],
-        s=meta["s"],
-        seed=meta["seed"],
-        objective=objective,
-        set_=set_,
-        x0=x0,
-        ground_truth=None if truth is None else np.asarray(truth, dtype=np.float64),
-        sigma=meta["sigma"],
-    )
+    inst = _instance(meta["family"], objective, set_, meta["s"], x0, sigma=meta["sigma"],
+                     ground_truth=None if truth is None else np.asarray(truth, dtype=np.float64))
+    inst.seed = meta["seed"]
+    return inst
 
 
 def save_point(path: str, x) -> None:

@@ -88,12 +88,11 @@ def _cmd_solve(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(trace.to_dict(), fh, indent=2)
-    cert = trace.certificate
     columns = trace._columns
     print(
         f"{args.method}: f={trace.f_final:.6g} iterations={trace.iterations} "
         f"cardinality={int((trace.x_final != 0).sum())} time_s={trace.wall_time_seconds:.3f} "
-        f"strong_stationary={None if cert is None else cert.strong} "
+        f"strong_stationary={trace.certificate.strong} "
         f"stop_reason={trace.stop_reason} screened_steps={trace.screened_steps} "
         f"moves={'/'.join(map(str, columns.move_counts()))} backtracks={sum(columns.backtracks)}"
     )

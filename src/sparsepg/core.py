@@ -60,6 +60,13 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _scatter(n: int, supp: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The n-vector holding ``values`` on ``supp`` and zeros elsewhere."""
+    x = np.zeros(n)
+    x[supp] = values
+    return x
+
+
 def sorting_permutation(v: np.ndarray) -> np.ndarray:
     """Permutation sigma with v[sigma] non-ascending; ties broken by ascending index."""
     return np.argsort(-np.asarray(v, dtype=np.float64), kind="stable")
@@ -81,6 +88,4 @@ class _Record:
 def _plain(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
     return value.to_dict() if isinstance(value, _Record) else value

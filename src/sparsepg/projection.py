@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _complement, as_vector, support_of
+from .core import _complement, _scatter, as_vector, support_of
 from .sets import SymmetricSet
 
 __all__ = ["SparseProjection", "project_sparse", "certify_unique", "brute_force_project"]
@@ -37,9 +37,7 @@ def _check_sparsity_level(s: int, n: int) -> None:
 
 def _on_support(set_: SymmetricSet, n: int, support: np.ndarray, a_sub: np.ndarray) -> np.ndarray:
     """The n-vector holding ``set_.project_sub(a_sub)`` on ``support`` and zeros elsewhere."""
-    point = np.zeros(n)
-    point[support] = set_.project_sub(a_sub)
-    return point
+    return _scatter(n, support, set_.project_sub(a_sub))
 
 
 def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
@@ -51,9 +49,9 @@ def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     n = ranked.size
     threshold = np.partition(ranked, n - s)[n - s]
     chosen = ranked > threshold
+    # at most s - 1 values exceed the s-th largest, so missing >= 1
     missing = s - int(np.count_nonzero(chosen))
-    if missing:
-        chosen[(ranked == threshold).nonzero()[0][:missing]] = True
+    chosen[(ranked == threshold).nonzero()[0][:missing]] = True
     return chosen.nonzero()[0]
 
 
@@ -135,8 +133,7 @@ def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]
     cutoff = best + 1e-10 * (1.0 + best)
     winners: list[SparseProjection] = []
     for i in sorted(i for i in points if scores[i] <= cutoff):
-        point = np.zeros(n)
-        point[supports[i]] = points[i]
+        point = _scatter(n, supports[i], points[i])
         if not any(np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners):
             winners.append(SparseProjection(point, supports[i]))
     return winners

@@ -15,12 +15,13 @@ projects on S alone: it needs only the gradient entries on S and costs
 O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
 A step on S whose entries are not all finite fails the bound and goes dense.
 
-While steps screen and keep every entry of S nonzero, the iterate is held as
-its s values on S alone: the new point is evaluated as ``A[:, S] @ y_S`` from
-the kept columns, with no n-wide scan, and its ``move_sq`` and constraint
-gaps come from the s-vectors.  The n-vector is built only for a dense step,
-for a screened step whose projection zeroes an entry of S (an l1-ball soft
-threshold can), and for the returned trace.  Screened and dense steps give
+``pg_solve`` holds every iterate as its values on its support alone.  A
+screened step that keeps every entry of S nonzero evaluates the new point as
+``A[:, S] @ y_S`` from the kept columns, with no n-wide scan, and takes its
+``move_sq`` and constraint gaps from the s-vectors.  The n-vector is built
+only for a dense step, which is also taken by a screened step whose
+projection zeroes an entry of S (an l1-ball soft threshold can), and for the
+returned trace.  Screened and dense steps give
 the same bits, because the objectives take the gradient entries on the
 support from the support columns on every path, and every step computes its
 ``move_sq`` and constraint gaps in one place, on supp(x) | supp(y) in
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _norm, _plain, _Record, as_vector, support_of
+from .core import _norm, _plain, _Record, _scatter, as_vector, support_of
 from .objectives import _LinearModel
 from .projection import _check_sparsity_level, project_sparse
 from .sets import _SCALAR_MAX, SymmetricSet
@@ -377,13 +378,6 @@ def _record(
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _scatter(n: int, supp: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The n-vector holding ``values`` on ``supp`` and zeros elsewhere."""
-    x = np.zeros(n)
-    x[supp] = values
-    return x
-
-
 class _DenseSteps:
     """PG gradients of any objective: one ``value_and_grad`` per iterate.
 
@@ -544,14 +538,14 @@ def pg_solve(
     supp_x = steps.supp
     x_supp = x[supp_x]
     for k in range(max_iter):
-        # x is None while the iterate is held by its values x_supp on supp_x alone
+        # the iterate is held as its values x_supp on its support supp_x; the
+        # n-vector is built only for a dense step and for the trace
         y_supp = steps.screened_step(x_supp, alpha)
         if y_supp is not None and np.count_nonzero(y_supp) == y_supp.size:
-            y, supp_y, old, new = None, supp_x, x_supp, y_supp
+            supp_y, old, new = supp_x, x_supp, y_supp
             fy = steps.evaluate_on_support(y_supp)
         else:
-            if x is None:
-                x = _scatter(n, supp_x, x_supp)
+            x = _scatter(n, supp_x, x_supp)
             if y_supp is None:
                 y = project_sparse(set_, s, x - alpha * steps.gradient()).point
             else:  # an l1-ball soft threshold zeroed an entry of S
@@ -559,6 +553,7 @@ def pg_solve(
             fy = steps.evaluate(y)
             # a linear model returns the same support array while S stays put
             supp_y = steps.supp
+            y_supp = y[supp_y]
             same = supp_y is supp_x or supp_y.tobytes() == supp_x.tobytes()
             union = supp_y if same else np.union1d(supp_x, supp_y)
             old, new = x[union], y[union]
@@ -572,15 +567,12 @@ def pg_solve(
             )
         columns.append("projected_gradient", fy, alpha, supp_y, move_sq, set_._constraint_gaps(new))
         done = abs(fy - fx) <= f_tol
-        x, fx, supp_x = y, fy, supp_y
-        x_supp = y_supp if y is None else y[supp_y]
+        fx, supp_x, x_supp = fy, supp_y, y_supp
         if done:
             break
-    if x is None:
-        x = _scatter(n, supp_x, x_supp)
     return _finish(
-        obj, set_, s, x, f_initial, columns, done, start, certify, grid, certify_tol,
-        steps.screened,
+        obj, set_, s, _scatter(n, supp_x, x_supp), f_initial, columns, done, start, certify,
+        grid, certify_tol, steps.screened,
     )
 
 

@@ -53,6 +53,22 @@ def test_gen_solve_certify_flow(tmp_path, capsys):
     assert set(report) >= {"general", "strong", "coordinatewise", "worst_violation"}
 
 
+def test_solve_without_out_prints_one_summary_line_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.npz"
+    assert main([
+        "gen", "--family", "cs-least-squares", "--m", "20", "--n", "64",
+        "--s", "3", "--seed", "5", "--out", str(inst_path),
+    ]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "solve", str(inst_path), "--method", "pg")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pg: f=")
+    assert "stop_reason=converged" in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.npz"]
+
+
 def test_bench_csv_output(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     code, _, _ = run_cli(

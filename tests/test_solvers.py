@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,7 @@ from sparsepg import (
     l1_ball,
     make_rng,
     max_backtracks,
+    minimize_support_gap,
     nonneg_simplex,
     npg_solve,
     pg_solve,
@@ -281,6 +283,32 @@ def test_npg_trace_invariants_on_random_instances():
         config = benchmark_config(inst.objective.lipschitz, M=4, N=5, q=3)
         trace = npg_solve(inst.objective, inst.set_, inst.s, inst.x0, config, certify=False)
         check_npg_trace_invariants(trace, inst.objective, inst.set_, inst.s, config)
+
+
+def test_npg_takes_a_projected_gradient_step_when_the_support_gap_exceeds_eta():
+    # at this seed, iterations 0-2 are gradient steps and iteration q = 3 runs the gap test
+    inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(101))
+    config = benchmark_config(inst.objective.lipschitz, M=4, N=5, q=3)
+    q = config.q
+    before = npg_solve(
+        inst.objective, inst.set_, inst.s, inst.x0, dataclasses.replace(config, max_iter=q),
+        certify=False,
+    )
+    x = before.x_final
+    gap = minimize_support_gap(inst.set_, x, inst.objective.grad(x), config.tbar)
+    assert before.iterations == q and gap.value > 0
+
+    def record_q(eta):
+        cfg = dataclasses.replace(config, eta=eta, max_iter=q + 1)
+        records = npg_solve(inst.objective, inst.set_, inst.s, inst.x0, cfg, certify=False).records
+        assert [r.to_dict() for r in records[:q]] == [r.to_dict() for r in before.records]
+        return records[q]
+
+    # a gap at most eta takes the support-change move, a gap above it the gradient step
+    assert record_q(gap.value).step_kind.startswith("support_change")
+    above = record_q(np.nextafter(gap.value, 0.0))
+    assert above.step_kind == "projected_gradient"
+    assert np.array_equal(above.support, before.records[-1].support)
 
 
 def test_npg_rejects_infeasible_start():
