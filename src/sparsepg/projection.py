@@ -35,19 +35,19 @@ def _check_sparsity_level(s: int, n: int) -> None:
         raise ValueError(f"sparsity level must be an integer in 1..n-1, got s={s!r}, n={n}")
 
 
-def _on_support(set_: SymmetricSet, n: int, support: np.ndarray, a_sub: np.ndarray) -> np.ndarray:
-    """The n-vector holding ``set_.project_sub(a_sub)`` on ``support`` and zeros elsewhere."""
-    return _scatter(n, support, set_.project_sub(a_sub))
-
-
 def _top_support(ranked: np.ndarray, s: int) -> np.ndarray:
     """Ascending indices of the ``s`` largest values, ties to the lowest indices.
 
     Equals ``np.sort(sorting_permutation(ranked)[:s])`` at the cost of a
-    partition instead of a full sort.
+    partition instead of a full sort.  When exactly ``s`` values reach the
+    ``s``-th largest, they are the answer; when more tie with it, the values
+    above it are joined by the lowest-index ones equal to it.
     """
     n = ranked.size
     threshold = np.partition(ranked, n - s)[n - s]
+    top = (ranked >= threshold).nonzero()[0]
+    if top.size == s:
+        return top
     chosen = ranked > threshold
     # at most s - 1 values exceed the s-th largest, so missing >= 1
     missing = s - int(np.count_nonzero(chosen))
@@ -67,7 +67,7 @@ def project_sparse(set_: SymmetricSet, s: int, x) -> SparseProjection:
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
     support = _top_support(set_.ranking_values(x), s)
-    return SparseProjection(_on_support(set_, x.size, support, x[support]), support)
+    return SparseProjection(_scatter(x.size, support, set_.project_sub(x[support])), support)
 
 
 def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> bool:
@@ -86,6 +86,22 @@ def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> boo
     tol = 1e-10 * (1.0 + float(abs(x).max()))
     ranked = set_.ranking_values(x)
     return float(ranked[supp].min()) > float(ranked[_complement(supp, x.size)].max()) + tol
+
+
+def _certified_unique(set_: SymmetricSet, s: int, a: np.ndarray, proj: SparseProjection) -> bool:
+    """:func:`certify_unique` of ``proj = project_sparse(set_, s, a)``, without its checks.
+
+    ``proj.chosen_support`` is the top s of ``set_.ranking_values(a)``, so the
+    smallest ranking value on it and the largest off it are the s-th and
+    (s+1)-th largest, which one partition finds.
+    """
+    if np.count_nonzero(proj.point[proj.chosen_support]) < s:
+        return True
+    ranked = set_.ranking_values(a)
+    n = ranked.size
+    part = np.partition(ranked, (n - s - 1, n - s))
+    tol = 1e-10 * (1.0 + float(abs(a).max()))
+    return float(part[n - s]) > float(part[n - s - 1]) + tol
 
 
 def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]:

@@ -8,9 +8,12 @@ Shalev-Shwartz, Singer, Chandra, ICML 2008).  Vectors of at most
 projection, are thresholded in Python floats with the same operations in the
 same order, so they give the same bits as the NumPy path at a fraction of its
 per-call cost (the break-even, 56 to 64 entries on a 2-vCPU host, is
-tabulated at the constant).  Membership checks carry a tiny absolute slack
-so that projecting an already-feasible point returns it unchanged, bit for
-bit.
+tabulated at the constant).  The feasibility tests of the simplex and the l1
+balls, and the constraint gaps, take the minimum and the sum of vectors of at
+most ``_SUM_MAX`` entries in Python floats; the sum adds in the order of
+``np.sum``, so it has its bits.  Membership checks carry a tiny absolute
+slack so that projecting an already-feasible point returns it unchanged, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +53,56 @@ _FEAS_ATOL = 1e-12
 # 8.1-10.7, 20 entries 3.5-4.3 / 9.6-12.4, 48 entries 9.5-11.1 / 11.8-12.3,
 # 56 entries 10.4-12.0 / 11.6-12.6, 64 entries 13.5-13.8 / 11.6-13.8, 96
 # entries 19.3-20.7 / 12.3-13.9.  The break-even lies between 56 and 64; the
-# cutoff stays below it.
+# cutoff stays below it.  The minimum and sum of the feasibility tests break
+# even far sooner and have their own cutoff, ``_SUM_MAX``.
 _SCALAR_MAX = 48
+
+
+# Largest vector whose minimum and sum run on Python floats in the
+# feasibility tests and the constraint gaps (:func:`_least`, :func:`_total`).
+# The sum adds in the order of ``np.sum`` (:func:`_sum`), so both paths give
+# the same bits and the cutoff moves only time.  Measured as for
+# ``_SCALAR_MAX``, us per ``_constraint_gaps``, scalar / NumPy: simplex (min
+# and sum) 5 entries 1.4-1.8 / 3.2-3.4, 16 entries 2.4-2.5 / 3.1-3.2, 24
+# entries 3.2-3.4 / 3.2-3.5, 48 entries 4.8-5.8 / 3.2; l1 ball (sum after
+# ``abs``) 5 entries 1.4 / 2.1-2.6, 16 entries 2.1 / 2.1-2.4, 24 entries
+# 2.6-2.8 / 2.1-2.3.  The break-even lies near 24 entries for the simplex and
+# 16 for the l1 ball; the cutoff takes the lower.
+_SUM_MAX = 16
+
+
+def _sum(entries: list[float]) -> float:
+    """``float(np.sum(entries))``, bit for bit, for at most 128 entries.
+
+    NumPy adds fewer than 8 entries to 0.0 one after another.  From 8 on it
+    keeps 8 running sums, entry i going to sum ``i % 8`` while a full row of
+    8 is left, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, adds
+    the rest one after another, and adds the result to 0.0 (which turns a sum
+    of -0.0 into 0.0).  Builtin ``sum`` is not used: from Python 3.12 it
+    compensates the rounding of floats.
+    """
+    full = len(entries) - len(entries) % 8
+    total = 0.0
+    if full:
+        r0, r1, r2, r3, r4, r5, r6, r7 = entries[:8]
+        for i in range(8, full, 8):
+            e0, e1, e2, e3, e4, e5, e6, e7 = entries[i : i + 8]
+            r0, r1, r2, r3 = r0 + e0, r1 + e1, r2 + e2, r3 + e3
+            r4, r5, r6, r7 = r4 + e4, r5 + e5, r6 + e6, r7 + e7
+        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for u in entries[full:]:
+        total += u
+    return total
+
+
+def _total(x: np.ndarray) -> float:
+    """``float(x.sum())``, bit for bit; in Python floats up to ``_SUM_MAX`` entries."""
+    return _sum(x.tolist()) if x.size <= _SUM_MAX else float(x.sum())
+
+
+def _least(x: np.ndarray) -> float:
+    """``float(x.min())`` of a finite vector, up to the sign of a zero minimum."""
+    return min(x.tolist()) if x.size <= _SUM_MAX else float(x.min())
 
 
 def _scalar_shift(x: np.ndarray, r: float) -> float | None:
@@ -170,7 +221,7 @@ class SymmetricSet:
         if self.variant == "full":
             return x
         if self.variant == "simplex":
-            if x.min() >= 0.0 and abs(float(x.sum()) - r) <= _FEAS_ATOL * (1.0 + r):
+            if _least(x) >= 0.0 and abs(_total(x) - r) <= _FEAS_ATOL * (1.0 + r):
                 return x
             return _simplex_threshold(x, r)
         if self.kind == "nonnegative":  # the orthant, then the shape (Beck and Hallak)
@@ -178,7 +229,7 @@ class SymmetricSet:
             if self.variant == "nonneg":
                 return x
         if self.variant in ("l1ball", "nonneg-l1ball"):
-            if float(abs(x).sum()) <= r + _FEAS_ATOL * (1.0 + r):
+            if _total(abs(x)) <= r + _FEAS_ATOL * (1.0 + r):
                 return x
             w = _simplex_threshold(abs(x), r)
             return np.where(x < 0, -w, w)
@@ -206,11 +257,11 @@ class SymmetricSet:
         r = self.radius
         nonneg_gap = 0.0
         if self.kind == "nonnegative":
-            nonneg_gap = max(0.0, -float(x.min())) if x.size else 0.0
+            nonneg_gap = max(0.0, -_least(x)) if x.size else 0.0
         if self.variant == "simplex":
-            shape_gap = abs(float(x.sum()) - r)
+            shape_gap = abs(_total(x) - r)
         elif self.variant in ("l1ball", "nonneg-l1ball"):
-            shape_gap = max(0.0, float(abs(x).sum()) - r)
+            shape_gap = max(0.0, _total(abs(x)) - r)
         elif self.variant in ("l2ball", "nonneg-l2ball"):
             shape_gap = max(0.0, _norm(x) - r)
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _complement, _norm, _proper_support, _Record, as_vector, support_of
-from .projection import _check_sparsity_level, _top_support, certify_unique, project_sparse
+from .projection import _certified_unique, _check_sparsity_level, _top_support, project_sparse
 from .sets import SymmetricSet
 from .subroutines import _swap_candidates
 
@@ -163,9 +163,9 @@ def check_strong_stationary(
     """Check the unique-projection condition on the grid.
 
     Strong requires, at every grid step, that the projection returns the point
-    itself and that :func:`certify_unique` certifies it, by one rule at every
-    n.  Uniqueness is certified only at the steps whose projection stays
-    within ``tol`` of the point, the only ones that read it.
+    itself and that the rule of :func:`certify_unique` certifies it, one rule
+    at every n.  Uniqueness is certified only at the steps whose projection
+    stays within ``tol`` of the point, the only ones that read it.
     When some gradient step projects to a different point, the one with the
     largest objective drop is reported as witness.
     """
@@ -184,7 +184,7 @@ def check_strong_stationary(
         move = _norm(proj.point - x)
         worst = max(worst, move)
         if move <= tol:
-            if not certify_unique(set_, s, a, proj):
+            if not _certified_unique(set_, s, a, proj):
                 strong = False
             continue
         strong = False

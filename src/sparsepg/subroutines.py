@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _complement, _proper_support, as_vector
-from .projection import _on_support
+from .core import _complement, _proper_support, _scatter, as_vector
 from .sets import SymmetricSet
 
 __all__ = ["coordinate_swap", "change_support"]
@@ -92,4 +91,4 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
     edited[drop_pool[:k]] = False
     edited[add_pool[:k]] = True
     new_support = edited.nonzero()[0]
-    return _on_support(set_, x.size, new_support, a[new_support])
+    return _scatter(x.size, new_support, set_.project_sub(a[new_support]))

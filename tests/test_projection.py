@@ -16,6 +16,7 @@ from sparsepg import (
     sorting_permutation,
     support_of,
 )
+from sparsepg.projection import _top_support
 
 ALL_SETS = catalog()
 
@@ -178,6 +179,25 @@ def test_top_s_selection_all_ties(set_):
             res = project_sparse(set_, s, x)
             assert res.chosen_support.tolist() == list(range(s))
             assert np.array_equal(res.chosen_support, stable_sort_support(set_, s, x))
+
+
+@st.composite
+def straddling_ties(draw):
+    """Ranking values where ties at the s-th largest run past it: some above, more tied, the rest below."""
+    n = draw(st.integers(2, 30))
+    s = draw(st.integers(1, n - 1))
+    above = draw(st.integers(0, s - 1))
+    tied = draw(st.integers(s - above + 1, n - above))
+    level = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    values = ([level + 1.0 + i for i in range(above)] + [level] * tied
+              + [level - 1.0 - i for i in range(n - above - tied)])
+    return np.array(draw(st.permutations(values))), s
+
+
+@given(straddling_ties())
+def test_top_support_fills_straddling_ties_by_index(case):
+    ranked, s = case
+    assert np.array_equal(_top_support(ranked, s), np.sort(sorting_permutation(ranked)[:s]))
 
 
 def test_top_s_selection_fills_ties_after_strict_winners():

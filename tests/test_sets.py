@@ -239,10 +239,15 @@ def threshold_cases(draw):
     scale = 10.0 ** draw(st.integers(-8, 8))
     x = np.array(draw(st.lists(entries, min_size=n, max_size=n))) * scale
     r = draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 3.0, 10.0]))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["free", "threshold boundary", "set boundary"]))
+    if shape == "threshold boundary":
         # entries r below the largest sit on the boundary of the threshold test,
         # where rounding can fail it at one prefix length and pass it at the next
         x[1 : draw(st.integers(1, n))] = x.max() - r
+    elif shape == "set boundary" and abs(x).sum() > 0:
+        # |x| sums to r up to rounding, where the feasibility tests of the
+        # simplex and the l1 balls decide by the last bits of the sum
+        x = (abs(x) if draw(st.booleans()) else x) * (r / abs(x).sum())
     return x, r
 
 
@@ -271,6 +276,51 @@ def test_threshold_projections_match_the_numpy_reference_bit_for_bit(case):
     for (p, p_sub), (q, q_sub) in zip(ours, reference):
         assert p.tobytes() == q.tobytes()
         assert p_sub.tobytes() == q_sub.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_cases())
+@example(NONMONOTONE)
+def test_scalar_kernels_match_the_numpy_path_bit_for_bit(case):
+    # the cutoffs select Python floats or NumPy for the feasibility tests, the
+    # constraint gaps and the threshold; cutoffs of 0 take NumPy everywhere
+    x, r = case
+    sets_ = catalog(r)
+    ours = [(s._project(x), s._constraint_gaps(x)) for s in sets_]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "_SUM_MAX", 0)
+        mp.setattr(sets, "_SCALAR_MAX", 0)
+        reference = [(s._project(x), s._constraint_gaps(x)) for s in sets_]
+    for (p, gaps), (q, ref_gaps) in zip(ours, reference):
+        assert p.tobytes() == q.tobytes()
+        assert np.array(gaps).tobytes() == np.array(ref_gaps).tobytes()
+
+
+@st.composite
+def sum_cases(draw):
+    """Vectors of 0 to 2 * _SCALAR_MAX entries at 1e-8..1e8, some strided views.
+
+    Magnitudes spread over up to 16 decades within a vector, and some entries
+    are +-0.0, subnormal or equal, so that rounding and signed zeros decide.
+    """
+    n = draw(st.integers(0, 2 * _SCALAR_MAX))
+    step = draw(st.integers(1, 3))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.integers(0, 16))
+    values = rng.standard_normal(n * step) * 10.0 ** rng.uniform(-decades / 2, decades / 2, n * step)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-315, 1.0, -1.0])
+    odd = rng.random(n * step) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[odd] = rng.choice(special, odd.sum())
+    return (values * 10.0 ** draw(st.integers(-8, 8)))[::step]
+
+
+@settings(max_examples=500, deadline=None)
+@given(sum_cases())
+@example(np.array([-0.0] * 9))  # 8 running sums of -0.0, then the final add to 0.0
+@example(np.array([-0.0] * 3))
+@example(np.arange(1.0, 17.0)[::2] * 0.1)
+def test_sum_matches_np_sum_bit_for_bit(v):
+    assert sets._sum(v.tolist()).hex() == float(np.sum(v)).hex()
 
 
 @settings(max_examples=150, deadline=None)

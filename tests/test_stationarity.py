@@ -8,6 +8,7 @@ from sparsepg import (
     DegenerateSupportError,
     LeastSquares,
     catalog,
+    certify_unique,
     check_coordinatewise,
     check_general_stationary,
     check_strong_stationary,
@@ -21,6 +22,7 @@ from sparsepg import (
     project_sparse,
     support_gap,
 )
+from sparsepg.projection import _certified_unique
 from oracles import (coordinatewise_by_enumeration, gap_minimum_by_loop, gap_on_grid,
                      strong_stationary_on_grid)
 
@@ -294,6 +296,57 @@ def test_strong_check_matches_the_certified_grid_reference(
         start[rng.permutation(n)[s - 1:]] = 0.0
     x = project_sparse(set_, s, start).point
     assert_matches_certified_grid(quadratic(center), set_, s, x, default_grid(t_max, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_SETS),
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_private_uniqueness_test_agrees_with_certify_unique_at_every_grid_step(
+    set_, n, seed, ties, short
+):
+    # small integers and a dyadic grid put ties at the s-th ranking value; a
+    # start with fewer than s nonzeros, or a nonnegative set clipping negative
+    # entries, projects to fewer than s nonzeros
+    rng = make_rng(seed)
+    s = int(rng.integers(1, n))
+
+    def draw():
+        return rng.integers(-2, 3, n).astype(float) if ties else rng.standard_normal(n)
+
+    start = draw()
+    if short:
+        start[rng.permutation(n)[s - 1:]] = 0.0
+    x = project_sparse(set_, s, start).point
+    grad = draw()
+    for t in default_grid(2.0, 9):
+        a = x - t * grad
+        proj = project_sparse(set_, s, a)
+        assert _certified_unique(set_, s, a, proj) == certify_unique(set_, s, a, proj)
+
+
+def test_private_uniqueness_test_keeps_the_strict_margin_of_certify_unique():
+    # the s-th ranking value exactly 1e-10 * (1 + max|a|) above the next is not
+    # certified, one ulp more is; the margin scales with max|a|, here a
+    # negative entry that a nonnegative set ranks last
+    w = 1.0
+    for _ in range(3):
+        w = 1.0 + 1e-10 * (1.0 + w)
+    assert w == 1.0 + 1e-10 * (1.0 + w)
+    cases = [
+        (full_space(), np.array([w, 1.0, 0.0]), False),
+        (full_space(), np.array([np.nextafter(w, 2.0), 1.0, 0.0]), True),
+        (nonneg_orthant(), np.array([1.0 + 5e-8, 1.0, -1e3]), False),
+        (nonneg_orthant(), np.array([1.0 + 5e-8, 1.0, -1.0]), True),
+    ]
+    for set_, a, certified in cases:
+        proj = project_sparse(set_, 1, a)
+        assert certify_unique(set_, 1, a, proj) is certified
+        assert _certified_unique(set_, 1, a, proj) is certified
 
 
 def test_strong_check_reads_an_uncertified_step_as_not_strong():
