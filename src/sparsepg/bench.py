@@ -82,6 +82,14 @@ def _orthonormal_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return q.T
 
 
+def _sparsity_level(s: int | None, n: int) -> int:
+    """``s``, checked; by default 1% of the dimension ``n``, at least 1."""
+    if s is None:
+        s = max(1, round(0.01 * n))
+    _check_sparsity_level(s, n)
+    return s
+
+
 def gen_cs_instance(m: int, n: int, s: int, sigma: float, rng: np.random.Generator) -> Instance:
     """Sparse recovery: orthonormal-row A, +-1 planted signal, Gaussian noise.
 
@@ -115,9 +123,7 @@ def gen_logistic_instance(
         raise ValueError("m must be even")
     if m <= 0:
         raise ValueError("m must be positive")
-    if s is None:
-        s = max(1, round(0.01 * n))
-    _check_sparsity_level(s, n)
+    s = _sparsity_level(s, n)
     half = m // 2
     mu_pos = float(rng.uniform(0.0, 1.0))
     mu_neg = float(rng.uniform(-1.0, 0.0))
@@ -137,9 +143,7 @@ def gen_simplex_instance(
     image of a normalized uniform vector, and the start point spreads mass 1
     over the first ``s`` coordinates.
     """
-    if s is None:
-        s = max(1, round(0.01 * n))
-    _check_sparsity_level(s, n)
+    s = _sparsity_level(s, n)
     base = _orthonormal_rows(n, m, rng)
     scale = np.arange(1, m + 1, dtype=np.float64) ** 2
     a = base * scale[:, None]

@@ -146,21 +146,17 @@ class _LinearModel:
         return g
 
     def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``."""
-        supp, cols = self._support_columns(x)
-        return cols @ x[supp], supp, cols
+        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
 
-    def _support_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The support of ``x`` and its columns, by one n-wide scan.
-
-        The columns of the last support are kept, and the same support array
-        is returned for as long as S does not change.
+        S is found by one n-wide scan.  The columns of the last support are
+        kept, and the same support array is returned for as long as S does not
+        change.
         """
         supp = x.nonzero()[0]
         # comparing the bytes is exact here, and 30x cheaper than np.array_equal
         if supp.tobytes() != self._supp.tobytes():
             self._supp, self._cols = supp, self.A[:, supp]
-        return self._supp, self._cols
+        return self._cols @ x[self._supp], self._supp, self._cols
 
     def _loss(self, p: np.ndarray) -> float:
         return self._loss_and_dloss(p)[0]

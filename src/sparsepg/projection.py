@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _complement, _scatter, as_vector, support_of
+from .core import _scatter, as_vector
 from .sets import SymmetricSet
 
 __all__ = ["SparseProjection", "project_sparse", "certify_unique", "brute_force_project"]
@@ -71,7 +71,7 @@ def project_sparse(set_: SymmetricSet, s: int, x) -> SparseProjection:
 
 
 def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> bool:
-    """True if ``proj`` is certifiably the only projection of ``x``.
+    """True if ``proj``, a projection of ``x``, is certifiably the only one.
 
     Certifies when the projected point has fewer than ``s`` nonzeros, or when
     the smallest ranking value of ``x`` on its support beats the largest one off
@@ -80,20 +80,16 @@ def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> boo
     """
     x = as_vector(x)
     _check_sparsity_level(s, x.size)
-    supp = support_of(proj.point)
-    if supp.size < s:
-        return True
-    tol = 1e-10 * (1.0 + float(abs(x).max()))
-    ranked = set_.ranking_values(x)
-    return float(ranked[supp].min()) > float(ranked[_complement(supp, x.size)].max()) + tol
+    return _certified_unique(set_, s, x, proj)
 
 
 def _certified_unique(set_: SymmetricSet, s: int, a: np.ndarray, proj: SparseProjection) -> bool:
-    """:func:`certify_unique` of ``proj = project_sparse(set_, s, a)``, without its checks.
+    """:func:`certify_unique` of a checked vector ``a``.
 
-    ``proj.chosen_support`` is the top s of ``set_.ranking_values(a)``, so the
-    smallest ranking value on it and the largest off it are the s-th and
-    (s+1)-th largest, which one partition finds.
+    A projection with s nonzeros holds s largest ranking values of ``a`` (a
+    swap would otherwise bring it closer to ``a``), so the smallest ranking
+    value on its support and the largest off it are the s-th and (s+1)-th
+    largest, which one partition finds.
     """
     if np.count_nonzero(proj.point[proj.chosen_support]) < s:
         return True

@@ -9,15 +9,16 @@ projection, are thresholded in Python floats with the same operations in the
 same order, so they give the same bits as the NumPy path at a fraction of its
 per-call cost (the break-even, 56 to 64 entries on a 2-vCPU host, is
 tabulated at the constant).  The feasibility tests of the simplex and the l1
-balls, and the constraint gaps, take the minimum and the sum of vectors of at
-most ``_SUM_MAX`` entries in Python floats; the sum adds in the order of
-``np.sum``, so it has its bits.  Membership checks carry a tiny absolute
-slack so that projecting an already-feasible point returns it unchanged, bit
-for bit.
+balls, and the constraint gaps, take the minimum of such vectors in Python
+floats too, and their sum when it is shorter than ``_NP_SERIAL_SUM``, where
+``np.sum`` adds one entry after another.  Membership checks carry a tiny
+absolute slack so that projecting an already-feasible point returns it
+unchanged, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,56 +54,44 @@ _FEAS_ATOL = 1e-12
 # 8.1-10.7, 20 entries 3.5-4.3 / 9.6-12.4, 48 entries 9.5-11.1 / 11.8-12.3,
 # 56 entries 10.4-12.0 / 11.6-12.6, 64 entries 13.5-13.8 / 11.6-13.8, 96
 # entries 19.3-20.7 / 12.3-13.9.  The break-even lies between 56 and 64; the
-# cutoff stays below it.  The minimum and sum of the feasibility tests break
-# even far sooner and have their own cutoff, ``_SUM_MAX``.
+# cutoff stays below it.
 _SCALAR_MAX = 48
 
 
-# Largest vector whose minimum and sum run on Python floats in the
-# feasibility tests and the constraint gaps (:func:`_least`, :func:`_total`).
-# The sum adds in the order of ``np.sum`` (:func:`_sum`), so both paths give
-# the same bits and the cutoff moves only time.  Measured as for
-# ``_SCALAR_MAX``, us per ``_constraint_gaps``, scalar / NumPy: simplex (min
-# and sum) 5 entries 1.4-1.8 / 3.2-3.4, 16 entries 2.4-2.5 / 3.1-3.2, 24
-# entries 3.2-3.4 / 3.2-3.5, 48 entries 4.8-5.8 / 3.2; l1 ball (sum after
-# ``abs``) 5 entries 1.4 / 2.1-2.6, 16 entries 2.1 / 2.1-2.4, 24 entries
-# 2.6-2.8 / 2.1-2.3.  The break-even lies near 24 entries for the simplex and
-# 16 for the l1 ball; the cutoff takes the lower.
-_SUM_MAX = 16
+# ``np.sum`` adds fewer than this many entries to 0.0 one after another
+_NP_SERIAL_SUM = 8
 
 
-def _sum(entries: list[float]) -> float:
-    """``float(np.sum(entries))``, bit for bit, for at most 128 entries.
+def _total(x: np.ndarray) -> float:
+    """``float(x.sum())``, bit for bit; below ``_NP_SERIAL_SUM`` entries in Python floats.
 
-    NumPy adds fewer than 8 entries to 0.0 one after another.  From 8 on it
-    keeps 8 running sums, entry i going to sum ``i % 8`` while a full row of
-    8 is left, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, adds
-    the rest one after another, and adds the result to 0.0 (which turns a sum
-    of -0.0 into 0.0).  Builtin ``sum`` is not used: from Python 3.12 it
-    compensates the rounding of floats.
+    Builtin ``sum`` is not used: from Python 3.12 it compensates the rounding
+    of floats.
     """
-    full = len(entries) - len(entries) % 8
+    if x.size >= _NP_SERIAL_SUM:
+        return float(x.sum())
     total = 0.0
-    if full:
-        r0, r1, r2, r3, r4, r5, r6, r7 = entries[:8]
-        for i in range(8, full, 8):
-            e0, e1, e2, e3, e4, e5, e6, e7 = entries[i : i + 8]
-            r0, r1, r2, r3 = r0 + e0, r1 + e1, r2 + e2, r3 + e3
-            r4, r5, r6, r7 = r4 + e4, r5 + e5, r6 + e6, r7 + e7
-        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for u in entries[full:]:
+    for u in x.tolist():
         total += u
     return total
 
 
-def _total(x: np.ndarray) -> float:
-    """``float(x.sum())``, bit for bit; in Python floats up to ``_SUM_MAX`` entries."""
-    return _sum(x.tolist()) if x.size <= _SUM_MAX else float(x.sum())
-
-
 def _least(x: np.ndarray) -> float:
     """``float(x.min())`` of a finite vector, up to the sign of a zero minimum."""
-    return min(x.tolist()) if x.size <= _SUM_MAX else float(x.min())
+    return min(x.tolist()) if x.size <= _SCALAR_MAX else float(x.min())
+
+
+def _finite_least(x: np.ndarray) -> float:
+    """``float(x.min())`` when every entry is finite, else NaN.
+
+    A finite sum proves every entry finite, as in :func:`as_vector`; builtin
+    ``sum`` serves, as only its finiteness is read.  The check is needed
+    because Python's ``min`` skips a NaN that does not come first.
+    """
+    if x.size <= _SCALAR_MAX:
+        entries = x.tolist()
+        return min(entries) if math.isfinite(sum(entries)) else math.nan
+    return float(x.min()) if math.isfinite(x.sum()) else math.nan
 
 
 def _scalar_shift(x: np.ndarray, r: float) -> float | None:
@@ -146,8 +135,7 @@ def _simplex_threshold(x: np.ndarray, r: float) -> np.ndarray:
     lam = _shift(x, r)
     if lam is not None:
         z = np.maximum(x - lam, 0.0)
-        total = sum(z.tolist()) if z.size <= _SCALAR_MAX else float(z.sum())
-        if abs(total - r) <= min(0.5 * r, 1e-3 * (1.0 + r)):
+        if abs(_total(z) - r) <= min(0.5 * r, 1e-3 * (1.0 + r)):
             return z
     # Rounding makes the sum miss r by a few ulp of the largest entries: at
     # most 2.1e-5 on 100 000 random vectors of up to 96 entries below 2e8 and

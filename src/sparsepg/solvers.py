@@ -49,7 +49,7 @@ import numpy as np
 from .core import _norm, _plain, _Record, _scatter, as_vector, support_of
 from .objectives import _LinearModel
 from .projection import _check_sparsity_level, project_sparse
-from .sets import _SCALAR_MAX, SymmetricSet
+from .sets import SymmetricSet, _finite_least
 from .stationarity import (
     StationarityReport,
     _off_support_slope,
@@ -401,19 +401,6 @@ class _DenseSteps:
         return self.g
 
 
-def _finite_min(values: np.ndarray) -> float:
-    """``float(values.min())`` when every entry is finite, else NaN.
-
-    A finite sum proves every entry finite, as in :func:`as_vector`.  Up to
-    ``_SCALAR_MAX`` entries the sum and the minimum run in Python floats,
-    where ``min`` alone would skip a NaN that does not come first.
-    """
-    if values.size <= _SCALAR_MAX:
-        entries = values.tolist()
-        return min(entries) if math.isfinite(sum(entries)) else math.nan
-    return float(values.min()) if math.isfinite(values.sum()) else math.nan
-
-
 class _ScreenedSteps:
     """PG gradients of a linear model, with steps on the support where a bound allows.
 
@@ -485,7 +472,7 @@ class _ScreenedSteps:
         delta = _norm(self.v - self.v_ref)
         slack = 2 * (m + 3) * _EPS * self.C * (_norm(self.v) + self.v_ref_norm)
         slack += 4 * _EPS * (abs(self.G) + self.C * delta)
-        if not _finite_min(self.set_.ranking_values(z)) > alpha * (self.G + self.C * delta + slack):
+        if not _finite_least(self.set_.ranking_values(z)) > alpha * (self.G + self.C * delta + slack):
             return None
         self.screened += 1
         # z is finite: a non-finite entry fails the test above

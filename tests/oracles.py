@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from sparsepg import StationarityReport, certify_unique, project_sparse, support_of
+from sparsepg import StationarityReport, project_sparse, support_of
 from sparsepg.subroutines import _swap_candidates, change_support, coordinate_swap
 
 
@@ -59,6 +59,21 @@ def gap_minimum_by_loop(set_, x, grad, t_max):
     return best_step, best_val
 
 
+def unique_by_support(set_, s, x, proj):
+    """Reference for ``certify_unique``, straight from the support of ``proj.point``.
+
+    Certified when the point has fewer than ``s`` nonzeros, or when the
+    smallest ranking value of ``x`` on its support beats the largest one off
+    it by more than ``1e-10 * (1 + max|x|)``.
+    """
+    supp = support_of(proj.point)
+    if supp.size < s:
+        return True
+    ranked = set_.ranking_values(x)
+    off = np.delete(ranked, supp)
+    return float(ranked[supp].min()) > float(off.max()) + 1e-10 * (1.0 + float(abs(x).max()))
+
+
 def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     """Reference for ``check_strong_stationary``: a certified projection at every grid step.
 
@@ -77,7 +92,7 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     for t in np.asarray(t_grid, dtype=np.float64):
         a = x - t * grad
         proj = project_sparse(set_, s, a)
-        unique = certify_unique(set_, s, a, proj)
+        unique = unique_by_support(set_, s, a, proj)
         move = float(np.linalg.norm(proj.point - x))
         worst = max(worst, move)
         if move <= tol:

@@ -30,8 +30,8 @@ from sparsepg import (
 )
 from sparsepg.bench import solve_instance
 from sparsepg.objectives import _LinearModel
-from sparsepg.sets import _SCALAR_MAX
-from sparsepg.solvers import _bb_stepsize, _finite_min, _ScreenedSteps
+from sparsepg.sets import _SCALAR_MAX, _finite_least
+from sparsepg.solvers import _bb_stepsize, _ScreenedSteps
 from oracles import replay_iterates
 
 
@@ -533,13 +533,13 @@ def test_npg_trace_invariants_on_every_set_and_loss(problem):
 def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
     # the n-wide scan for the support runs at the start and on dense steps only
     scans = []
-    scan = _LinearModel._support_columns
+    scan = _LinearModel._evaluate
 
     def counted(model, x):
         scans.append(x.size)
         return scan(model, x)
 
-    monkeypatch.setattr(_LinearModel, "_support_columns", counted)
+    monkeypatch.setattr(_LinearModel, "_evaluate", counted)
     inst = gen_instance("logistic", 500, 1000, 2000)
     alpha = default_stepsize(inst.objective.lipschitz)
     trace = pg_solve(inst.objective, inst.set_, inst.s, inst.x0, alpha, max_iter=250, certify=False)
@@ -606,12 +606,12 @@ def test_the_screening_minimum_is_np_min_of_finite_entries_and_nan_otherwise(siz
     rng = make_rng(size)
     for _ in range(20):
         values = rng.standard_normal(size)
-        assert _finite_min(values) == float(values.min())
+        assert _finite_least(values) == float(values.min())
         for where in range(size):
             for bad in (math.nan, math.inf, -math.inf):
                 spoiled = values.copy()
                 spoiled[where] = bad
-                assert math.isnan(_finite_min(spoiled))
+                assert math.isnan(_finite_least(spoiled))
 
 
 def test_stop_reason():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sparsepg import (
     DegenerateSupportError,
     LeastSquares,
+    brute_force_project,
     catalog,
     certify_unique,
     check_coordinatewise,
@@ -24,7 +25,7 @@ from sparsepg import (
 )
 from sparsepg.projection import _certified_unique
 from oracles import (coordinatewise_by_enumeration, gap_minimum_by_loop, gap_on_grid,
-                     strong_stationary_on_grid)
+                     strong_stationary_on_grid, unique_by_support)
 
 ALL_SETS = catalog()
 
@@ -326,7 +327,13 @@ def test_private_uniqueness_test_agrees_with_certify_unique_at_every_grid_step(
     for t in default_grid(2.0, 9):
         a = x - t * grad
         proj = project_sparse(set_, s, a)
-        assert _certified_unique(set_, s, a, proj) == certify_unique(set_, s, a, proj)
+        expected = unique_by_support(set_, s, a, proj)
+        assert _certified_unique(set_, s, a, proj) == certify_unique(set_, s, a, proj) == expected
+        # a tie gives other projections, on which the two rules agree too
+        dist = float(np.sum((proj.point - a) ** 2))
+        for other in brute_force_project(set_, s, a):
+            if float(np.sum((other.point - a) ** 2)) == dist:
+                assert certify_unique(set_, s, a, other) == unique_by_support(set_, s, a, other)
 
 
 def test_private_uniqueness_test_keeps_the_strict_margin_of_certify_unique():
@@ -345,6 +352,7 @@ def test_private_uniqueness_test_keeps_the_strict_margin_of_certify_unique():
     ]
     for set_, a, certified in cases:
         proj = project_sparse(set_, 1, a)
+        assert unique_by_support(set_, 1, a, proj) is certified
         assert certify_unique(set_, 1, a, proj) is certified
         assert _certified_unique(set_, 1, a, proj) is certified
 
