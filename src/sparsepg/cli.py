@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import bench as bench_mod
+from .core import support_of
 from .solvers import default_stepsize
 from .stationarity import (
     check_coordinatewise,
@@ -91,7 +92,7 @@ def _cmd_solve(args) -> int:
     columns = trace._columns
     print(
         f"{args.method}: f={trace.f_final:.6g} iterations={trace.iterations} "
-        f"cardinality={int((trace.x_final != 0).sum())} time_s={trace.wall_time_seconds:.3f} "
+        f"cardinality={support_of(trace.x_final).size} time_s={trace.wall_time_seconds:.3f} "
         f"strong_stationary={trace.certificate.strong} "
         f"stop_reason={trace.stop_reason} screened_steps={trace.screened_steps} "
         f"moves={'/'.join(map(str, columns.move_counts()))} backtracks={sum(columns.backtracks)}"

@@ -84,6 +84,9 @@ def _top_singular_value_sq(mat: np.ndarray) -> float:
         w = mat.T @ (mat @ q)
         tri[j, j] = q @ w
         kept = basis[: j + 1]
+        # one pass is as close to the SVD value on every matrix tried, but it
+        # moves half the benchmark estimates by up to 9e-16 relative, and with
+        # them the bits of every trace; the second pass keeps those bits
         for _ in range(2):
             w -= kept.T @ (kept @ w)
         beta = float(np.linalg.norm(w))

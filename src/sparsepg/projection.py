@@ -4,12 +4,12 @@ The projection picks the ``s`` coordinates with the largest ranking values,
 sub-projects onto the restricted set there, and zeros the rest.  The result is
 always a member of the (possibly multi-valued) projection; two sufficient
 conditions, checked by ``certify_unique``, certify when it is the unique one.
+The test suite checks both against an enumerator of every support, which
+lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,7 @@ import numpy as np
 from .core import _scatter, as_vector
 from .sets import SymmetricSet
 
-__all__ = ["SparseProjection", "project_sparse", "certify_unique", "brute_force_project"]
-
-_BRUTE_MAX_N = 20
+__all__ = ["SparseProjection", "project_sparse", "certify_unique"]
 
 
 @dataclass(frozen=True)
@@ -98,54 +96,3 @@ def _certified_unique(set_: SymmetricSet, s: int, a: np.ndarray, proj: SparsePro
     part = np.partition(ranked, (n - s - 1, n - s))
     tol = 1e-10 * (1.0 + float(abs(a).max()))
     return float(part[n - s]) > float(part[n - s - 1]) + tol
-
-
-def brute_force_project(set_: SymmetricSet, s: int, x) -> list[SparseProjection]:
-    """Testing oracle: enumerate every size-``s`` support and keep all minimizers.
-
-    Returns the distinct points attaining the minimal squared distance within
-    relative tolerance 1e-10.  Guarded to small instances.  A support T scores
-    ``||P(x_T) - x_T||^2 + ||x off T||^2``, the squared distance of its point
-    from ``x``.  The supports are visited in ascending order of a lower bound
-    on the score, ``||x off T||^2`` plus, on nonnegative sets, the squared
-    negative part of ``x_T`` (up to rounding, far below the tolerance), and
-    the visit stops once the bound passes the tolerance of the best score so
-    far.  Points are built only for the supports within the tolerance.
-    """
-    x = as_vector(x)
-    n = x.size
-    _check_sparsity_level(s, n)
-    if n > _BRUTE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {_BRUTE_MAX_N}, got n={n}")
-
-    count = math.comb(n, s)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n), s))
-    supports = np.fromiter(combos, dtype=np.intp, count=count * s).reshape(count, s)
-    off = np.ones((count, n), dtype=bool)
-    off[np.arange(count)[:, None], supports] = False
-    sq = x * x
-    off_sq = (off * sq).sum(axis=1)
-    floors = off_sq
-    if set_.kind == "nonnegative":  # P(x_T) >= 0 moves each negative entry to 0 or beyond
-        floors = np.where(off, sq, np.minimum(x, 0.0) ** 2).sum(axis=1)
-    order = np.argsort(floors, kind="stable").tolist()
-    floors, off_sq = floors.tolist(), off_sq.tolist()
-    on = x[supports]  # row i holds x on support i
-    scores = [math.inf] * count
-    points = {}
-    best = math.inf
-    for i in order:
-        if floors[i] > best + 1e-10 * (1.0 + best):
-            break
-        points[i] = set_._project(on[i])
-        moved = points[i] - on[i]
-        scores[i] = float(moved @ moved) + off_sq[i]
-        best = min(best, scores[i])
-
-    cutoff = best + 1e-10 * (1.0 + best)
-    winners: list[SparseProjection] = []
-    for i in sorted(i for i in points if scores[i] <= cutoff):
-        point = _scatter(n, supports[i], points[i])
-        if not any(np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners):
-            winners.append(SparseProjection(point, supports[i]))
-    return winners

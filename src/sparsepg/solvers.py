@@ -64,7 +64,6 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "IterateTrace",
-    "bb_initial_stepsize",
     "max_backtracks",
     "pg_solve",
     "npg_solve",
@@ -287,20 +286,12 @@ class IterateTrace(_Record):
         return out
 
 
-def bb_initial_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
+def _bb_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
     """Spectral trial stepsize ||dx||^2 / |dx.dg|, clamped to [t_min, t_max].
 
-    Returns ``t_max`` when the curvature product vanishes.
+    Returns ``t_max`` when the curvature product vanishes.  Takes float arrays
+    and the ``t_min < t_max`` that ``SolverConfig`` checks.
     """
-    if t_min > t_max:
-        raise ValueError("need t_min <= t_max")
-    return _bb_stepsize(
-        as_vector(x_cur), as_vector(x_prev), as_vector(g_cur), as_vector(g_prev), t_min, t_max
-    )
-
-
-def _bb_stepsize(x_cur, x_prev, g_cur, g_prev, t_min: float, t_max: float) -> float:
-    """:func:`bb_initial_stepsize` of checked vectors and ``t_min <= t_max``."""
     dx = x_cur - x_prev
     dg = g_cur - g_prev
     denom = abs(float(dx @ dg))

@@ -28,7 +28,6 @@ __all__ = [
     "support_gap",
     "minimize_support_gap",
     "default_grid",
-    "check_general_stationary",
     "check_strong_stationary",
     "check_coordinatewise",
 ]
@@ -150,11 +149,6 @@ def _require_feasible(set_: SymmetricSet, s: int, x: np.ndarray, tol: float) -> 
     if not set_.contains(x, tol):
         raise ValueError("point is not in the constraint set within tolerance")
     return supp
-
-
-def check_general_stationary(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:
-    """True if x stays in the projection set of its own gradient step on the whole grid."""
-    return check_strong_stationary(obj, set_, s, x, t_grid, tol).general
 
 
 def check_strong_stationary(

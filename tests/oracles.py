@@ -1,11 +1,72 @@
-"""Independent reference computations used by both unit and acceptance tests."""
+"""Independent reference computations used by both unit and acceptance tests.
+
+``brute_force_project``, the enumerator of every support that checks the
+sparse projection and its uniqueness certificate, lives here rather than in
+the package, since no solve calls it.
+"""
 
 import itertools
+import math
 
 import numpy as np
 
-from sparsepg import StationarityReport, project_sparse, support_of
+from sparsepg import SparseProjection, StationarityReport, project_sparse, support_of
+from sparsepg.core import _scatter, as_vector
+from sparsepg.projection import _check_sparsity_level
 from sparsepg.subroutines import _swap_candidates, change_support, coordinate_swap
+
+BRUTE_MAX_N = 20
+
+
+def brute_force_project(set_, s, x):
+    """Testing oracle: enumerate every size-``s`` support and keep all minimizers.
+
+    Returns the distinct points attaining the minimal squared distance within
+    relative tolerance 1e-10.  Guarded to small instances.  A support T scores
+    ``||P(x_T) - x_T||^2 + ||x off T||^2``, the squared distance of its point
+    from ``x``.  The supports are visited in ascending order of a lower bound
+    on the score, ``||x off T||^2`` plus, on nonnegative sets, the squared
+    negative part of ``x_T`` (up to rounding, far below the tolerance), and
+    the visit stops once the bound passes the tolerance of the best score so
+    far.  Points are built only for the supports within the tolerance.
+    """
+    x = as_vector(x)
+    n = x.size
+    _check_sparsity_level(s, n)
+    if n > BRUTE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTE_MAX_N}, got n={n}")
+
+    count = math.comb(n, s)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), s))
+    supports = np.fromiter(combos, dtype=np.intp, count=count * s).reshape(count, s)
+    off = np.ones((count, n), dtype=bool)
+    off[np.arange(count)[:, None], supports] = False
+    sq = x * x
+    off_sq = (off * sq).sum(axis=1)
+    floors = off_sq
+    if set_.kind == "nonnegative":  # P(x_T) >= 0 moves each negative entry to 0 or beyond
+        floors = np.where(off, sq, np.minimum(x, 0.0) ** 2).sum(axis=1)
+    order = np.argsort(floors, kind="stable").tolist()
+    floors, off_sq = floors.tolist(), off_sq.tolist()
+    on = x[supports]  # row i holds x on support i
+    scores = [math.inf] * count
+    points = {}
+    best = math.inf
+    for i in order:
+        if floors[i] > best + 1e-10 * (1.0 + best):
+            break
+        points[i] = set_._project(on[i])
+        moved = points[i] - on[i]
+        scores[i] = float(moved @ moved) + off_sq[i]
+        best = min(best, scores[i])
+
+    cutoff = best + 1e-10 * (1.0 + best)
+    winners = []
+    for i in sorted(i for i in points if scores[i] <= cutoff):
+        point = _scatter(n, supports[i], points[i])
+        if not any(np.allclose(point, w.point, rtol=0.0, atol=1e-12) for w in winners):
+            winners.append(SparseProjection(point, supports[i]))
+    return winners
 
 
 def gap_on_grid(set_, x, grad, t_max, base_points=10_000):

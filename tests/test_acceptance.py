@@ -15,7 +15,6 @@ import pytest
 
 from sparsepg import (
     benchmark_config,
-    brute_force_project,
     catalog,
     check_strong_stationary,
     default_grid,
@@ -30,7 +29,7 @@ from sparsepg import (
     support_of,
 )
 from sparsepg.bench import NPG_SCHEDULE
-from oracles import gap_on_grid
+from oracles import brute_force_project, gap_on_grid
 
 ALL_SETS = catalog()
 

@@ -4,9 +4,8 @@ from sparsepg import bench, core
 PUBLIC_NAMES = [
     "BenchReport", "BenchRow", "DegenerateSupportError", "FAMILIES", "GapMinimum", "Instance",
     "IterateTrace", "IterationRecord", "LeastSquares", "Logistic", "SolverConfig",
-    "SparseProjection", "StationarityReport", "SymmetricSet", "bb_initial_stepsize",
-    "benchmark_config", "brute_force_project", "catalog", "certify_unique", "change_support",
-    "check_coordinatewise", "check_general_stationary", "check_strong_stationary",
+    "SparseProjection", "StationarityReport", "SymmetricSet", "benchmark_config", "catalog",
+    "certify_unique", "change_support", "check_coordinatewise", "check_strong_stationary",
     "coordinate_swap", "default_grid", "default_stepsize", "full_space", "gen_cs_instance",
     "gen_instance", "gen_logistic_instance", "gen_simplex_instance", "l1_ball", "l2_ball",
     "load_instance", "load_point", "make_rng", "max_backtracks", "minimize_support_gap",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparsepg import (
-    brute_force_project,
     catalog,
     certify_unique,
     full_space,
@@ -17,6 +16,7 @@ from sparsepg import (
     support_of,
 )
 from sparsepg.projection import _top_support
+from oracles import brute_force_project
 
 ALL_SETS = catalog()
 

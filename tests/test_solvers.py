@@ -10,7 +10,6 @@ from sparsepg import (
     LeastSquares,
     Logistic,
     SolverConfig,
-    bb_initial_stepsize,
     benchmark_config,
     catalog,
     check_strong_stationary,
@@ -107,29 +106,13 @@ def test_config_lipschitz_coupling():
 
 def test_bb_stepsize_examples():
     z = np.zeros(2)
-    assert bb_initial_stepsize([1.0, 0.0], z, [2.0, 0.0], z, 0.1, 10.0) == pytest.approx(0.5)
-    assert bb_initial_stepsize([1.0, 0.0], z, [0.0, 5.0], z, 0.1, 10.0) == 10.0
-    assert bb_initial_stepsize([1.0, 1.0], z, [1.0, 1.0], z, 0.1, 10.0) == pytest.approx(1.0)
-    assert bb_initial_stepsize([1e6, 0.0], z, [1.0, 0.0], z, 0.1, 10.0) == 10.0  # clamp high
-    assert bb_initial_stepsize([1e-6, 0.0], z, [1.0, 0.0], z, 0.1, 10.0) == pytest.approx(0.1)
-
-
-def test_bb_stepsize_needs_ordered_bounds():
-    with pytest.raises(ValueError, match="t_min <= t_max"):
-        bb_initial_stepsize([1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], 2.0, 1.0)
-
-
-def test_bb_stepsize_of_checked_vectors_matches_the_public_function():
-    rng = make_rng(3)
-    z = np.zeros(4)
-    for k in range(50):
-        x, xp, g, gp = (rng.standard_normal(4) * 10.0 ** rng.uniform(-4, 4) for _ in range(4))
-        if k % 5 == 0:
-            g = gp  # dg = 0: the vanishing curvature product
-        t_min, t_max = sorted(10.0 ** rng.uniform(-6, 6, size=2))
-        public = bb_initial_stepsize(x.tolist(), xp, g.tolist(), gp, t_min, t_max)
-        assert _bb_stepsize(x, xp, g, gp, t_min, t_max) == public
-    assert _bb_stepsize(z, z, z, z, 0.1, 10.0) == bb_initial_stepsize(z, z, z, z, 0.1, 10.0) == 10.0
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    assert _bb_stepsize(e0, z, 2.0 * e0, z, 0.1, 10.0) == pytest.approx(0.5)
+    assert _bb_stepsize(e0, z, 5.0 * e1, z, 0.1, 10.0) == 10.0
+    assert _bb_stepsize(e0 + e1, z, e0 + e1, z, 0.1, 10.0) == pytest.approx(1.0)
+    assert _bb_stepsize(1e6 * e0, z, e0, z, 0.1, 10.0) == 10.0  # clamp high
+    assert _bb_stepsize(1e-6 * e0, z, e0, z, 0.1, 10.0) == pytest.approx(0.1)
+    assert _bb_stepsize(e0, z, e1, e1, 0.1, 10.0) == 10.0  # dg = 0: no curvature
 
 
 def test_pg_converges_to_top_coordinate():

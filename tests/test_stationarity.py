@@ -7,11 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from sparsepg import (
     DegenerateSupportError,
     LeastSquares,
-    brute_force_project,
     catalog,
     certify_unique,
     check_coordinatewise,
-    check_general_stationary,
     check_strong_stationary,
     default_grid,
     full_space,
@@ -24,8 +22,8 @@ from sparsepg import (
     support_gap,
 )
 from sparsepg.projection import _certified_unique
-from oracles import (coordinatewise_by_enumeration, gap_minimum_by_loop, gap_on_grid,
-                     strong_stationary_on_grid, unique_by_support)
+from oracles import (brute_force_project, coordinatewise_by_enumeration, gap_minimum_by_loop,
+                     gap_on_grid, strong_stationary_on_grid, unique_by_support)
 
 ALL_SETS = catalog()
 
@@ -174,7 +172,7 @@ def test_gap_concavity_on_nonnegative_sets():
 def test_check_general_zero_gradient():
     obj = quadratic([3.0, 0.0, 1.0])
     grid = default_grid(0.995, 50)
-    assert check_general_stationary(obj, full_space(), 1, [3.0, 0.0, 0.0], grid, 1e-8)
+    assert check_strong_stationary(obj, full_space(), 1, [3.0, 0.0, 0.0], grid, 1e-8).general
 
 
 def test_check_general_moving_projection():
@@ -182,7 +180,7 @@ def test_check_general_moving_projection():
     grid = default_grid(0.995, 50)
     # from (0,0,1) the shifted point (3t, 0, 1) ranks coordinate 0 on top
     # once t > 1/3, so the projection leaves the current support
-    assert not check_general_stationary(obj, full_space(), 1, [0.0, 0.0, 1.0], grid, 1e-8)
+    assert not check_strong_stationary(obj, full_space(), 1, [0.0, 0.0, 1.0], grid, 1e-8).general
 
 
 def test_check_strong_at_global_minimizer():
@@ -224,27 +222,6 @@ def test_strong_implies_general():
         report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
         if report.strong:
             assert report.general
-            assert check_general_stationary(obj, set_, s, x, grid, 1e-6)
-
-
-@given(
-    st.sampled_from(ALL_SETS),
-    st.integers(3, 7),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([0, 1, 8]),
-    st.booleans(),
-)
-def test_general_check_matches_the_strong_reports_flag(set_, n, seed, decimals, from_center):
-    # rounding the center makes ties likely; projecting the center itself
-    # often lands on a stationary point
-    rng = make_rng(seed)
-    s = int(rng.integers(1, n))
-    center = np.round(rng.standard_normal(n), decimals)
-    obj = quadratic(center)
-    x = project_sparse(set_, s, center if from_center else rng.standard_normal(n)).point
-    grid = default_grid(0.9, 12)
-    report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
-    assert check_general_stationary(obj, set_, s, x, grid, 1e-6) == report.general
 
 
 def assert_matches_certified_grid(obj, set_, s, x, grid):
@@ -494,7 +471,7 @@ def test_checkers_reject_a_grid_without_a_positive_step():
     obj = LeastSquares(np.eye(3), [0.0, 0.0, 5.0])
     x = [1.0, 0.0, 0.0]
     for grid in [[], [0.0], [0.0, -0.5]]:
-        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+        for check in (check_strong_stationary, check_coordinatewise):
             with pytest.raises(ValueError, match="positive step"):
                 check(obj, full_space(), 1, x, grid, 1e-8)
 
@@ -503,7 +480,7 @@ def test_checkers_reject_a_negative_step():
     # the global minimizer would fail the general check at t = -5
     obj = quadratic([3.0, 1.0, 0.0])
     for grid in [[-5.0, 0.9], [0.5, np.nan]]:
-        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+        for check in (check_strong_stationary, check_coordinatewise):
             with pytest.raises(ValueError, match="nonnegative"):
                 check(obj, full_space(), 1, [3.0, 0.0, 0.0], grid, 1e-8)
 
@@ -548,12 +525,12 @@ def test_checkers_reject_infeasible_points():
     obj = quadratic([1.0, 1.0, 1.0])
     grid = default_grid(0.5, 10)
     with pytest.raises(ValueError):
-        check_general_stationary(obj, full_space(), 1, [1.0, 1.0, 0.0], grid, 1e-8)
+        check_strong_stationary(obj, full_space(), 1, [1.0, 1.0, 0.0], grid, 1e-8)
     with pytest.raises(ValueError):
         check_strong_stationary(obj, nonneg_orthant(), 2, [-1.0, 0.0, 0.0], grid, 1e-8)
     # a bad tolerance is named as such, not taken for an infeasible point
     for tol in (-1e-8, np.nan, np.inf):
-        for check in (check_general_stationary, check_strong_stationary, check_coordinatewise):
+        for check in (check_strong_stationary, check_coordinatewise):
             with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
                 check(obj, full_space(), 1, [1.0, 0.0, 0.0], grid, tol)
 
