@@ -29,6 +29,17 @@ from the dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
 ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only the entries on
 S gets them, bit for bit, for O(m * ||x||_0).
 
+``grad`` and ``value_and_grad`` share a one-entry memo of the last point they
+formed a gradient at.  Its key is the support S of ``x`` and ``x[S]`` as
+exact bytes: f and g depend on ``x`` only through them, and a ``-0.0`` entry
+is off S.  At an equal key both return the kept f and a copy of the kept g,
+the bits that forming them again would give, with no dense product; at any
+other key they form f and g and keep them.  The memo costs one n-vector.
+``value`` neither reads nor writes it: building the key costs about 1 us,
+more than the many ``value`` calls of a solve would save.  The solvers empty
+it when a solve starts and after its certificate, so no gradient crosses
+from one solve to the next.
+
 Each model forms its loss and derivative in one pass over ``p``, the same
 arithmetic on every path.  The logistic loss takes one ``logaddexp``: with
 ``u = labels * p`` and ``l = logaddexp(0, -u)``, the loss is ``sum(l)`` and
@@ -110,8 +121,9 @@ class _LinearModel:
 
     Subclasses supply ``_loss_and_dloss(p)``: the loss and the m-vector ``v``
     with gradient ``A.T @ v``, from one pass over ``p``.  ``value``, ``grad``
-    and ``value_and_grad`` check ``x`` and form ``p`` once per call in
-    ``_evaluate``, and ``_gradient`` applies the support-column rule.
+    and ``value_and_grad`` check ``x`` on every call; ``value`` forms ``p`` in
+    ``_evaluate``, and the other two form it in ``_value_and_grad`` unless the
+    memo holds ``x``.  ``_gradient`` applies the support-column rule.
     """
 
     def __init__(self, A):
@@ -124,6 +136,7 @@ class _LinearModel:
         self._lipschitz: float | None = None
         self._supp = np.empty(0, dtype=np.intp)
         self._cols = self.A[:, self._supp]
+        self._memo: tuple[bytes, float, np.ndarray] | None = None  # (key, f, g) of the last grad
 
     @property
     def dim(self) -> int:
@@ -148,18 +161,34 @@ class _LinearModel:
         g[supp] = cols.T @ v
         return g
 
-    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
-
-        S is found by one n-wide scan.  The columns of the last support are
-        kept, and the same support array is returned for as long as S does not
-        change.
-        """
-        supp = x.nonzero()[0]
+    def _kept_columns(self, supp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``supp`` and ``A[:, supp]``: the same kept pair for as long as the support stays put."""
         # comparing the bytes is exact here, and 30x cheaper than np.array_equal
         if supp.tobytes() != self._supp.tobytes():
             self._supp, self._cols = supp, self.A[:, supp]
-        return self._cols @ x[self._supp], self._supp, self._cols
+        return self._supp, self._cols
+
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
+
+        S is found by one n-wide scan.
+        """
+        supp, cols = self._kept_columns(x.nonzero()[0])
+        return cols @ x[supp], supp, cols
+
+    def _value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        """f and a new array holding g at ``x``, from the memo at an equal key."""
+        x = as_vector(x, self.dim)
+        supp = x.nonzero()[0]
+        x_supp = x[supp]
+        # both halves take 8 bytes per entry of S, so equal keys have equal halves
+        key = supp.tobytes() + x_supp.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            supp, cols = self._kept_columns(supp)
+            f, v = self._loss_and_dloss(cols @ x_supp)
+            self._memo = (key, f, self._gradient(v, supp, cols))
+        _, f, g = self._memo
+        return f, g.copy()
 
     def _loss(self, p: np.ndarray) -> float:
         return self._loss_and_dloss(p)[0]
@@ -168,13 +197,10 @@ class _LinearModel:
         return self._loss(self._evaluate(as_vector(x, self.dim))[0])
 
     def grad(self, x) -> np.ndarray:
-        p, supp, cols = self._evaluate(as_vector(x, self.dim))
-        return self._gradient(self._loss_and_dloss(p)[1], supp, cols)
+        return self._value_and_grad(x)[1]
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        p, supp, cols = self._evaluate(as_vector(x, self.dim))
-        f, v = self._loss_and_dloss(p)
-        return f, self._gradient(v, supp, cols)
+        return self._value_and_grad(x)
 
 
 class LeastSquares(_LinearModel):

@@ -315,8 +315,15 @@ def _require_stop_rule(f_tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be positive")
 
 
+def _forget_gradient(obj) -> None:
+    """Empty the gradient memo of a linear model, so that no gradient crosses a solve."""
+    if isinstance(obj, _LinearModel):
+        obj._memo = None
+
+
 def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
     """``x0`` as a checked vector, or a ValueError unless ``s`` is valid and it is a feasible start."""
+    _forget_gradient(obj)
     x = as_vector(x0, obj.dim)
     _check_sparsity_level(s, x.size)
     if support_of(x).size > s:
@@ -334,6 +341,7 @@ def _finish(
     """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
     wall = time.perf_counter() - start
     certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
+    _forget_gradient(obj)
     return IterateTrace(
         columns, f_initial, x, columns.f_value[-1], len(columns), wall, certificate,
         "converged" if converged else "max_iter", screened_steps,
@@ -347,21 +355,26 @@ def _finite(value: float, k: int, phase: str) -> float:
     return value
 
 
+def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a - b||^2``, summed over all n entries."""
+    return float(((a - b) ** 2).sum())
+
+
 def _record(
     columns: _Columns,
     kind: str,
     f_value: float,
     stepsize: float | None,
     x_new: np.ndarray,
-    x_old: np.ndarray,
+    move_sq: float,
     set_: SymmetricSet,
     backtracks: int = 0,
     projstep_value: float = math.nan,
     projstep_dist_sq: float = math.nan,
 ) -> None:
-    """Append an NPG iteration, with ``move_sq`` and the gaps summed over all n entries."""
+    """Append an NPG iteration, with ``move_sq`` from ``_dist_sq`` and the gaps of ``x_new``."""
     columns.append(
-        kind, f_value, stepsize, x_new.nonzero()[0], float(((x_new - x_old) ** 2).sum()),
+        kind, f_value, stepsize, x_new.nonzero()[0], move_sq,
         set_._constraint_gaps(x_new), backtracks, projstep_value, projstep_dist_sq,
     )
 
@@ -577,7 +590,10 @@ def npg_solve(
       ``M+1`` values.
 
     Iterates with empty support skip the first two moves.  Stops on
-    the same consecutive-objective criterion as ``pg_solve``.  A non-finite
+    the same consecutive-objective criterion as ``pg_solve``.  The swap and
+    the support change ask again for the gradient at the point NPG has just
+    taken it at, and the certificate may too; on the package's objectives the
+    gradient memo serves those calls with no dense product.  A non-finite
     objective value raises ``FloatingPointError`` naming the iteration and the
     phase (``initial``, ``swap``, ``support change`` or ``trial``), and a trial
     that needs more than ``max_backtracks`` shrinks raises ``RuntimeError``.
@@ -594,15 +610,15 @@ def npg_solve(
     f_initial, g = obj.value_and_grad(x)
     f_hist = [_finite(f_initial, 0, "initial")]
     x_prev = g_prev = None
+    moving = np.count_nonzero(x) > 0
     for k in range(config.max_iter):
-        moving = np.count_nonzero(x) > 0
         x_new = None
         if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
                 f_y = _finite(obj.value(y), k, "swap")
                 x_new = y
-                _record(columns, "swap", f_y, None, y, x, set_)
+                _record(columns, "swap", f_y, None, y, _dist_sq(y, x), set_)
         elif k % config.N == config.q and moving:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
@@ -612,16 +628,18 @@ def npg_solve(
                 if np.count_nonzero(xt) > 0:
                     xh = change_support(obj, set_, s, xt, beta)
                     f_xh = _finite(obj.value(xh), k, "support change")
-                    dist_sq = float(((xh - xt) ** 2).sum())
+                    dist_sq = _dist_sq(xh, xt)
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
                         x_new = xh
                         _record(
-                            columns, "support_change_accept_hx", f_xh, beta, xh, x, set_,
-                            projstep_value=f_xt, projstep_dist_sq=dist_sq,
+                            columns, "support_change_accept_hx", f_xh, beta, xh, _dist_sq(xh, x),
+                            set_, projstep_value=f_xt, projstep_dist_sq=dist_sq,
                         )
                 if x_new is None and beta > 0:
                     x_new = xt
-                    _record(columns, "support_change_accept_tx", f_xt, beta, xt, x, set_)
+                    _record(
+                        columns, "support_change_accept_tx", f_xt, beta, xt, _dist_sq(xt, x), set_,
+                    )
 
         if x_new is None:
             if x_prev is None:
@@ -633,7 +651,8 @@ def npg_solve(
             while True:
                 w = project_sparse(set_, s, x - t_trial * g).point
                 fw = _finite(obj.value(w), k, "trial")
-                if fw <= f_ref - 0.5 * config.c2 * float(((w - x) ** 2).sum()):
+                move_sq = _dist_sq(w, x)
+                if fw <= f_ref - 0.5 * config.c2 * move_sq:
                     break
                 t_trial *= config.tau_shrink
                 backtracks += 1
@@ -643,10 +662,11 @@ def npg_solve(
                         f"the objective's lipschitz {lipschitz!r} is likely understated"
                     )
             x_new = w
-            _record(columns, "projected_gradient", fw, t_trial, w, x, set_, backtracks=backtracks)
+            _record(columns, "projected_gradient", fw, t_trial, w, move_sq, set_, backtracks)
 
         f_hist.append(columns.f_value[-1])
         x_prev, g_prev, x = x, g, x_new
+        moving = columns.supports[-1][1].size > 0  # the support of x, just recorded
         done = abs(f_hist[-1] - f_hist[-2]) <= config.f_tol
         if done:
             break

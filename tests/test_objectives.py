@@ -252,6 +252,85 @@ def test_gradient_entries_on_the_support_come_from_the_support_columns(nonzeros)
             assert np.array_equal(both_grad, grad)
 
 
+MEMO_KINDS = ["least_squares", "logistic"]
+
+
+def memo_objective(kind):
+    """A seeded model, an identical one built separately, and the seeded generator."""
+    objectives, rng = seeded_objectives()
+    index = MEMO_KINDS.index(kind)
+    return objectives[index], seeded_objectives()[0][index], rng
+
+
+def products_of(obj, products):
+    return sum(model is obj for model in products)
+
+
+def point_on(n, supp, values):
+    x = np.zeros(n)
+    x[supp] = values
+    return x
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memo_returns_the_kept_bits_in_a_new_writeable_array(kind, products):
+    obj, twin, rng = memo_objective(kind)
+    x = point_on(obj.dim, [3, 17, 42], rng.standard_normal(3))
+    first = obj.grad(x)
+    second = obj.grad(x.copy())
+    assert products_of(obj, products) == 1
+    assert second.flags.writeable and not np.shares_memory(first, second)
+    assert np.array_equal(first, second) and np.array_equal(second, twin.grad(x))
+    want = second.copy()
+    first[:] = np.nan
+    second[:] = np.nan
+    assert np.array_equal(obj.grad(x), want)
+    assert products_of(obj, products) == 1
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memo_recomputes_on_another_support_or_another_value(kind, products):
+    obj, twin, rng = memo_objective(kind)
+    values = rng.standard_normal(3)
+    x = point_on(obj.dim, [3, 17, 42], values)
+    moved = point_on(obj.dim, [3, 17, 43], values)
+    nudged = x.copy()
+    nudged[17] = np.nextafter(nudged[17], np.inf)
+    obj.grad(x)
+    for k, y in enumerate((moved, nudged, x), start=2):
+        assert np.array_equal(obj.grad(y), twin.grad(y))
+        assert products_of(obj, products) == k
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memo_takes_a_negative_zero_as_off_the_support(kind, products):
+    # the gradient depends on x only through x[S], and -0.0 is not in S
+    obj, twin, rng = memo_objective(kind)
+    x = point_on(obj.dim, [3, 17, 42], rng.standard_normal(3))
+    signed = x.copy()
+    signed[[0, 18, 59]] = -0.0
+    g = obj.grad(x)
+    f, h = obj.value_and_grad(signed)
+    assert products_of(obj, products) == 1
+    assert np.array_equal(g, h) and np.array_equal(h, twin.grad(signed))
+    assert f == twin.value(signed)
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memo_value_and_grad_after_grad_gives_the_bits_of_value_and_grad(kind, products):
+    # value neither reads nor writes the memo: a value elsewhere keeps the hit
+    obj, twin, rng = memo_objective(kind)
+    x = point_on(obj.dim, [3, 17, 42], rng.standard_normal(3))
+    elsewhere = point_on(obj.dim, [5], [1.0])
+    g = obj.grad(x)
+    assert obj.value(elsewhere) == twin.value(elsewhere)
+    f, h = obj.value_and_grad(x)
+    assert products_of(obj, products) == 1
+    assert f == obj.value(x) == twin.value(x)
+    assert np.array_equal(h, g) and np.array_equal(h, obj.grad(x))
+    assert np.array_equal(h, twin.grad(x))
+
+
 @st.composite
 def support_walks(draw):
     """A linear model and points whose supports repeat, alternate and change size.

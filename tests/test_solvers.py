@@ -537,6 +537,54 @@ def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
     assert np.array_equal(trace.x_final, dense.x_final)
 
 
+def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
+    # swaps and support changes ask again for gradients NPG has just formed;
+    # those calls cost no product
+    inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(100))
+    config = benchmark_config(inst.objective.lipschitz, M=4, N=5, q=3)
+    points = []
+    for name in ("grad", "value_and_grad"):
+        def recorded(model, x, method=getattr(_LinearModel, name)):
+            points.append(np.array(x, dtype=float))
+            return method(model, x)
+
+        monkeypatch.setattr(_LinearModel, name, recorded)
+    trace = npg_solve(inst.objective, inst.set_, inst.s, inst.x0, config)
+    kinds = {r.step_kind for r in trace.records}
+    assert {"swap", "support_change_accept_hx", "support_change_accept_tx"} <= kinds
+    repeats = sum(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    assert repeats > 0
+    assert len(products) == len(points) - repeats
+
+
+def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
+    # a gradient formed before a solve, or left by the last one, is not served
+    # inside it: identical solves form equally many products, and each solve
+    # ends with the memo empty
+    inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(100))
+    obj = inst.objective
+    config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
+    alpha = default_stepsize(obj.lipschitz)
+    # NPG at a stationary start ends where it began
+    still, still_x0 = quadratic([2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
+    still_config = small_config(still.lipschitz)
+    solves = [
+        (obj, inst.x0, lambda: pg_solve(obj, inst.set_, inst.s, inst.x0, alpha)),
+        (obj, inst.x0, lambda: npg_solve(obj, inst.set_, inst.s, inst.x0, config)),
+        (still, still_x0, lambda: npg_solve(still, full_space(), 2, still_x0, still_config)),
+    ]
+    for model, x0, solve in solves:
+        counts = []
+        for warm in (False, False, True):
+            if warm:
+                model.grad(x0)
+            products.clear()
+            solve()
+            counts.append(len(products))
+            assert model._memo is None
+        assert counts[0] == counts[1] == counts[2] > 0
+
+
 def test_a_screened_step_that_zeroes_an_entry_of_the_support_keeps_the_dense_bits(monkeypatch):
     # the l1-ball soft threshold zeroes an entry of S on a screened step, the
     # one screened step after which the n-vector of the iterate is rebuilt
