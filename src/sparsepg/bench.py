@@ -131,6 +131,7 @@ def gen_logistic_instance(
     a[:half] += mu_pos
     a[half:] += mu_neg
     labels = np.concatenate([np.ones(half), -np.ones(half)])
+    a.flags.writeable = False  # handed to the model, which adopts it
     return _instance("logistic", Logistic(a, labels), full_space(), s, np.zeros(n))
 
 
@@ -151,6 +152,7 @@ def gen_simplex_instance(
     b = a @ (z / np.sum(z))
     x0 = np.zeros(n)
     x0[:s] = 1.0 / s
+    a.flags.writeable = False  # handed to the model, which adopts it
     return _instance("simplex-least-squares", LeastSquares(a, b), nonneg_simplex(1.0), s, x0)
 
 

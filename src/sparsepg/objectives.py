@@ -15,6 +15,13 @@ seeds, but it is no proven upper bound.  Negating a row of ``A`` negates one
 entry of ``A @ v`` and leaves ``A.T @ (A @ v)`` bit for bit the same, so the
 logistic labels' sign flips change no bit of the estimate.
 
+Each model holds ``A`` as a read-only float64 array in the memory layout it
+was given.  A read-only float64 ndarray that owns its data is adopted as is:
+the logistic and simplex generators mark their matrix so and drop it, so no
+second copy is made.  Any other input, an array a caller may still write, a
+view or another dtype, is copied with ``np.array`` (order K, so the layout
+and with it the BLAS bits stay).
+
 Both are losses of ``p = A @ x`` and share one evaluation path.  Since the
 solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
 support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
@@ -127,7 +134,10 @@ class _LinearModel:
     """
 
     def __init__(self, A):
-        self.A = np.array(A, dtype=np.float64)  # the model's own copy, read-only below
+        # adopt a read-only float64 array that owns its data; copy any other in
+        # its memory layout (order K), which keeps the BLAS bits
+        owned = type(A) is np.ndarray and A.dtype == np.float64 and A.flags.owndata
+        self.A = A if owned and not A.flags.writeable else np.array(A, dtype=np.float64)
         self.A.flags.writeable = False
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")

@@ -51,7 +51,10 @@ class StationarityReport(_Record):
     ``coordinatewise`` is None when that condition was not evaluated.
     ``worst_violation`` is the largest distance between the point and the
     projection of any gradient step on the grid.  ``witness``, when present,
-    is a feasible point with a strictly smaller objective value.
+    is a feasible point with a strictly smaller objective value: the
+    projection at the largest grid step that moves the point and lowers f.
+    Below ``1/L`` every projection that moves the point lowers f, so on a
+    grid below ``1/L`` that step is the largest one that moves the point.
     """
 
     general: bool
@@ -160,8 +163,15 @@ def check_strong_stationary(
     itself and that the rule of :func:`certify_unique` certifies it, one rule
     at every n.  Uniqueness is certified only at the steps whose projection
     stays within ``tol`` of the point, the only ones that read it.
-    When some gradient step projects to a different point, the one with the
-    largest objective drop is reported as witness.
+
+    The grid is walked from its largest step down; the verdicts and
+    ``worst_violation`` do not depend on the order.  The witness is the
+    projection at the largest step that moves the point and strictly lowers
+    f, so f is evaluated at x and then only until that step is met.  Below
+    ``1/L`` the sparse projection of a gradient step strictly lowers f
+    whenever it moves the point (the descent property behind L-stationarity),
+    so on the solvers' grid, which ends at ``0.995/L``, one evaluation past f
+    at x finds the witness.
     """
     x = as_vector(x)
     _require_feasible(set_, s, x, tol)
@@ -171,8 +181,7 @@ def check_strong_stationary(
     strong = True
     worst = 0.0
     witness = None
-    best_drop = 0.0
-    for t in _grid_steps(t_grid):
+    for t in np.sort(_grid_steps(t_grid))[::-1]:
         a = x - t * grad
         proj = project_sparse(set_, s, a)
         move = _norm(proj.point - x)
@@ -184,9 +193,7 @@ def check_strong_stationary(
         strong = False
         if general and float(((x - a) ** 2).sum()) > float(((proj.point - a) ** 2).sum()) + tol:
             general = False
-        drop = fx - obj.value(proj.point)
-        if drop > best_drop:
-            best_drop = drop
+        if witness is None and obj.value(proj.point) < fx:
             witness = proj.point
     return StationarityReport(
         general=general,

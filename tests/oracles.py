@@ -140,8 +140,9 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
 
     Each step certifies the uniqueness of its projection, whether or not the
     step reads the certificate; a step that stays at ``x`` counts toward
-    strong only when certified, at every n.  ``x`` must be feasible (not
-    checked).
+    strong only when certified, at every n.  The witness is the projection at
+    the largest grid step that moves the point and strictly lowers f, found by
+    evaluating f at every moving step.  ``x`` must be feasible (not checked).
     """
     x = np.asarray(x, dtype=np.float64)
     grad = obj.grad(x)
@@ -149,7 +150,7 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
     general = strong = True
     worst = 0.0
     witness = None
-    best_drop = 0.0
+    witness_step = -np.inf
     for t in np.asarray(t_grid, dtype=np.float64):
         a = x - t * grad
         proj = project_sparse(set_, s, a)
@@ -163,9 +164,8 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
         strong = False
         if float(np.sum((x - a) ** 2)) > float(np.sum((proj.point - a) ** 2)) + tol:
             general = False
-        drop = fx - obj.value(proj.point)
-        if drop > best_drop:
-            best_drop = drop
+        if obj.value(proj.point) < fx and t > witness_step:
+            witness_step = t
             witness = proj.point
     return StationarityReport(general, strong, None, worst, witness)
 

@@ -442,3 +442,27 @@ def test_models_own_read_only_copies_of_their_arrays():
         for name in ("A", "b" if model is LeastSquares else "labels"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(obj, name)[0] = 0.0
+
+
+def test_generated_models_hold_an_owned_read_only_matrix():
+    for family in ("cs-least-squares", "logistic", "simplex-least-squares"):
+        a = gen_instance(family, 20, 64, 1, s=3).objective.A
+        assert a.flags.owndata and not a.flags.writeable
+
+
+def test_models_adopt_a_read_only_owned_matrix_and_copy_any_other():
+    # a read-only float64 array that owns its data is taken as is; a writeable
+    # array, a view or another dtype is copied into the model's own read-only
+    # array, in the memory layout it came in
+    owned = make_rng(0).standard_normal((4, 6))
+    owned.flags.writeable = False
+    assert LeastSquares(owned, np.ones(4)).A is owned
+    assert Logistic(owned, [1.0, -1.0, 1.0, -1.0]).A is owned
+    fortran = np.asfortranarray(make_rng(1).standard_normal((4, 6)))
+    for given in (fortran, owned[:, :5], owned.astype(np.float32)):
+        a = LeastSquares(given, np.ones(4)).A
+        assert not np.shares_memory(a, given)
+        assert a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable
+        assert np.array_equal(a, given)
+    assert LeastSquares(fortran, np.ones(4)).A.flags.f_contiguous
+    assert fortran.flags.writeable  # the caller's array is left as it was

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from sparsepg import (
     DegenerateSupportError,
     LeastSquares,
+    Logistic,
     catalog,
     certify_unique,
     check_coordinatewise,
     check_strong_stationary,
     default_grid,
+    default_stepsize,
     full_space,
     l1_ball,
     make_rng,
@@ -367,6 +369,74 @@ def test_witnesses_always_improve():
             seen += 1
             assert obj.value(report.witness) < obj.value(x)
     assert seen > 0  # the sweep must actually exercise the witness path
+
+
+class CountedValue:
+    """``obj`` with its ``value`` calls counted."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return self.obj.value(x)
+
+    def grad(self, x):
+        return self.obj.grad(x)
+
+
+@pytest.mark.parametrize("set_", ALL_SETS, ids=str)
+@pytest.mark.parametrize("model", [LeastSquares, Logistic])
+def test_witness_rule_evaluates_f_twice_on_the_solvers_grid(set_, model):
+    # below 1/L every projection that moves the point lowers f, so the
+    # largest moving step of the grid to 0.995/L is the witness: f is
+    # evaluated at x and at that step only
+    rng = make_rng(11)
+    m, n, s = 8, 12, 3
+    targets = rng.choice([-1.0, 1.0], m) if model is Logistic else rng.standard_normal(m)
+    obj = model(rng.standard_normal((m, n)), targets)
+    grid = default_grid(default_stepsize(obj.lipschitz), 50)
+    for _ in range(5):
+        x = project_sparse(set_, s, rng.standard_normal(n)).point
+        counted = CountedValue(obj)
+        report = check_strong_stationary(counted, set_, s, x, grid, 1e-6)
+        assert not report.general
+        assert report.witness is not None
+        assert obj.value(report.witness) < obj.value(x)
+        assert counted.value_calls == 2
+
+
+def overshooting_quadratic():
+    """x = (1, 0) and f = 0.5*||x - (0.6, 0.5)||^2 (L = 1) on the 1-sparse plane.
+
+    The gradient step is ``(1 - 0.4*t, 0.5*t)``: its projection keeps the
+    first entry below t = 1/0.9 and lowers f there, keeps the second from
+    there on, lowers f at t = 1.25 and raises it at t = 1.5, 1.75 and 2.
+    """
+    return quadratic([0.6, 0.5]), np.array([1.0, 0.0])
+
+
+def test_witness_rule_takes_the_largest_step_that_lowers_f():
+    # past 1/L the largest moving steps raise f; the witness is the largest
+    # step that lowers it, 1.25, not the largest drop, at t = 1
+    obj, x = overshooting_quadratic()
+    g = obj.grad(x)
+    at = {t: project_sparse(full_space(), 1, x - t * g).point for t in (1.0, 1.25, 2.0)}
+    assert obj.value(at[2.0]) > obj.value(x)
+    assert obj.value(at[1.0]) < obj.value(at[1.25]) < obj.value(x)
+    report = assert_matches_certified_grid(obj, full_space(), 1, x, default_grid(2.0, 9))
+    assert np.array_equal(report.witness, at[1.25])
+
+
+def test_witness_rule_evaluates_every_moving_step_when_none_lowers_f():
+    obj, x = overshooting_quadratic()
+    counted = CountedValue(obj)
+    grid = [0.0, 1.5, 1.75, 2.0]  # the step 0 stays at x; the other three move and raise f
+    report = check_strong_stationary(counted, full_space(), 1, x, grid, 1e-6)
+    assert report.witness is None
+    assert counted.value_calls == 1 + 3
+    assert report == strong_stationary_on_grid(obj, full_space(), 1, x, grid, 1e-6)
 
 
 def test_check_coordinatewise_at_optimum():
