@@ -43,9 +43,14 @@ is off S.  At an equal key both return the kept f and a copy of the kept g,
 the bits that forming them again would give, with no dense product; at any
 other key they form f and g and keep them.  The memo costs one n-vector.
 ``value`` neither reads nor writes it: building the key costs about 1 us,
-more than the many ``value`` calls of a solve would save.  The solvers empty
-it when a solve starts and after its certificate, so no gradient crosses
-from one solve to the next.
+more than the many ``value`` calls of a solve would save.  On these models
+``npg_solve`` evaluates each point it forms from its support, which a
+projection gives with no scan, and keeps the loss derivative ``v``; it forms
+the gradient at each accepted point from that ``v``, with no second
+``A[:, S] @ x_S`` or loss pass, and puts it in the memo, where the ``grad``
+calls of its swaps and support changes find it.  The solvers empty the memo
+and the kept columns when a solve starts and after its certificate, so
+nothing of one solve's evaluations crosses to the next.
 
 Each model forms its loss and derivative in one pass over ``p``, the same
 arithmetic on every path.  The logistic loss takes one ``logaddexp``: with
@@ -144,6 +149,10 @@ class _LinearModel:
         if not np.isfinite(self.A).all():
             raise ValueError("A must be finite")
         self._lipschitz: float | None = None
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the kept support columns and the gradient memo, as the solvers do around a solve."""
         self._supp = np.empty(0, dtype=np.intp)
         self._cols = self.A[:, self._supp]
         self._memo: tuple[bytes, float, np.ndarray] | None = None  # (key, f, g) of the last grad

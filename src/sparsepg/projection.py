@@ -68,6 +68,25 @@ def project_sparse(set_: SymmetricSet, s: int, x) -> SparseProjection:
     return SparseProjection(_scatter(x.size, support, set_.project_sub(x[support])), support)
 
 
+def _project_sparse(
+    set_: SymmetricSet, s: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`project_sparse` of a finite vector and a valid ``s``, unchecked.
+
+    Returns the point, its support and its values there.  The support is the
+    chosen one less the entries that the sub-projection leaves zero (an
+    l1-ball soft threshold can zero one, and a chosen ``-0.0`` stays one), so
+    it equals ``point.nonzero()[0]`` with no n-wide scan.
+    """
+    chosen = _top_support(set_.ranking_values(x), s)
+    values = set_._project(x[chosen])
+    point = _scatter(x.size, chosen, values)
+    kept = values.nonzero()[0]
+    if kept.size < chosen.size:
+        chosen, values = chosen[kept], values[kept]
+    return point, chosen, values
+
+
 def certify_unique(set_: SymmetricSet, s: int, x, proj: SparseProjection) -> bool:
     """True if ``proj``, a projection of ``x``, is certifiably the only one.
 

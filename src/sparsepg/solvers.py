@@ -28,6 +28,20 @@ support from the support columns on every path, and every step computes its
 ascending index order, which is S on a screened step.  Any other objective
 takes the dense step.
 
+``npg_solve`` reaches the objective through the same step objects.  On the
+linear models it evaluates every point it forms (a trial, the two
+support-change points, an accepted swap) from the columns on the point's
+support, which the projection gives with its values (the swap and the
+support change return only the point, and one scan finds its support).  It
+keeps the loss derivative of the point, forms the gradient at the accepted
+point from it with one dense ``A.T @ v``, and puts that gradient in the
+model's memo for the ``grad`` calls of the swap and the support change.
+Its trial and support-change steps are checked finite once, then projected
+by the unchecked ``_project_sparse``.  Any other objective sees the calls of
+the public path: ``project_sparse`` for each projection, one ``value`` per
+point and one ``grad`` per iterate, so a traced run's spans still time every
+projection and evaluation.
+
 A trace stores its per-iteration values as columns, one growable
 ``array.array`` each: the objective value, the stepsize (NaN for None), the
 backtracks, ``move_sq``, the two constraint gaps, a step-kind code and the
@@ -48,7 +62,7 @@ import numpy as np
 
 from .core import _norm, _plain, _Record, _scatter, as_vector, support_of
 from .objectives import _LinearModel
-from .projection import _check_sparsity_level, project_sparse
+from .projection import _check_sparsity_level, _project_sparse, project_sparse
 from .sets import SymmetricSet, _finite_least
 from .stationarity import (
     StationarityReport,
@@ -315,15 +329,15 @@ def _require_stop_rule(f_tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be positive")
 
 
-def _forget_gradient(obj) -> None:
-    """Empty the gradient memo of a linear model, so that no gradient crosses a solve."""
+def _forget(obj) -> None:
+    """Empty what a linear model keeps of its evaluations, so that none crosses a solve."""
     if isinstance(obj, _LinearModel):
-        obj._memo = None
+        obj._forget()
 
 
 def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
     """``x0`` as a checked vector, or a ValueError unless ``s`` is valid and it is a feasible start."""
-    _forget_gradient(obj)
+    _forget(obj)
     x = as_vector(x0, obj.dim)
     _check_sparsity_level(s, x.size)
     if support_of(x).size > s:
@@ -341,7 +355,7 @@ def _finish(
     """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
     wall = time.perf_counter() - start
     certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
-    _forget_gradient(obj)
+    _forget(obj)
     return IterateTrace(
         columns, f_initial, x, columns.f_value[-1], len(columns), wall, certificate,
         "converged" if converged else "max_iter", screened_steps,
@@ -360,32 +374,26 @@ def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - b) ** 2).sum())
 
 
-def _record(
-    columns: _Columns,
-    kind: str,
-    f_value: float,
-    stepsize: float | None,
-    x_new: np.ndarray,
-    move_sq: float,
-    set_: SymmetricSet,
-    backtracks: int = 0,
-    projstep_value: float = math.nan,
-    projstep_dist_sq: float = math.nan,
-) -> None:
-    """Append an NPG iteration, with ``move_sq`` from ``_dist_sq`` and the gaps of ``x_new``."""
-    columns.append(
-        kind, f_value, stepsize, x_new.nonzero()[0], move_sq,
-        set_._constraint_gaps(x_new), backtracks, projstep_value, projstep_dist_sq,
-    )
+def _step(x: np.ndarray, t: float, g: np.ndarray, k: int, phase: str) -> np.ndarray:
+    """``x - t * g``, or a FloatingPointError naming iteration ``k`` and ``phase`` unless finite."""
+    z = x - t * g
+    # a finite sum proves every entry finite, as in as_vector
+    if not math.isfinite(z.sum()) and not np.isfinite(z).all():
+        raise FloatingPointError(f"gradient step not finite at iteration {k}, {phase} phase")
+    return z
 
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
 class _DenseSteps:
-    """PG gradients of any objective: one ``value_and_grad`` per iterate.
+    """Gradients of any objective, through its public calls alone.
 
-    ``evaluate`` keeps the support of the point, by one n-wide scan.
+    PG takes one ``value_and_grad`` per iterate in ``evaluate``, which keeps
+    the support of the point, by one n-wide scan.  NPG projects with
+    ``project_sparse`` and takes one ``value`` per point it forms and one
+    ``grad`` per iterate; ``shared_gradient`` gives None, since the objective
+    forms the gradient that a move asks it for.
     """
 
     screened = 0
@@ -404,9 +412,24 @@ class _DenseSteps:
     def gradient(self) -> np.ndarray:
         return self.g
 
+    def project(self, set_: SymmetricSet, s: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The point ``project_sparse`` gives, its support by one scan and its values there."""
+        point = project_sparse(set_, s, z).point
+        supp = point.nonzero()[0]
+        return point, supp, point[supp]
+
+    def value(self, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray) -> float:
+        return self.obj.value(x)
+
+    def shared_gradient(self) -> None:
+        return None
+
+    def gradient_at(self, x: np.ndarray) -> np.ndarray:
+        return self.obj.grad(x)
+
 
 class _ScreenedSteps:
-    """PG gradients of a linear model, with steps on the support where a bound allows.
+    """Gradients of a linear model: PG's, with steps on the support where a bound allows, and NPG's.
 
     ``evaluate`` keeps the loss derivative ``v`` at the iterate and the
     support S and columns ``A[:, S]`` that the model returns with ``p``;
@@ -417,7 +440,10 @@ class _ScreenedSteps:
     ``C``, both refreshed when S changes.  The column norms are computed once
     per solve, not kept on the objective: kept on each objective, they raised
     the peak RSS of a one-pass pg-logistic benchmark run (32 objectives) by
-    4 MB, against 0.4 MB when computed per solve.
+    4 MB, against 0.4 MB when computed per solve.  NPG projects with the
+    unchecked ``_project_sparse``, evaluates each point it forms with
+    ``value`` and takes the gradient at the point last valued from
+    ``shared_gradient``.
     """
 
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
@@ -487,6 +513,37 @@ class _ScreenedSteps:
         self.v_ref, self.v_ref_norm, self.g_ref = self.v, _norm(self.v), g
         self.bound_supp = None
         return g
+
+    def project(self, set_: SymmetricSet, s: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The point ``_project_sparse`` gives, with its support and its values there."""
+        return _project_sparse(set_, s, z)
+
+    def value(self, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray) -> float:
+        """f at ``x``, which holds ``x_supp`` on its support ``supp``, from the columns on supp.
+
+        Keeps the support, the values, the columns, f and ``v`` of the point,
+        for a gradient there.
+        """
+        self.supp, self.cols = self.model._kept_columns(supp)
+        self.x_supp = x_supp
+        self.f, self.v = self.model._loss_and_dloss(self.cols @ x_supp)
+        return self.f
+
+    def shared_gradient(self) -> np.ndarray:
+        """g at the point last valued, from its ``v``, kept in the model's gradient memo.
+
+        The model's ``grad`` at that point then returns it with no product; at
+        the key the memo already holds, the kept g serves.
+        """
+        model = self.model
+        key = self.supp.tobytes() + self.x_supp.tobytes()
+        if model._memo is None or model._memo[0] != key:
+            model._memo = (key, self.f, model._gradient(self.v, self.supp, self.cols))
+        return model._memo[2]
+
+    def gradient_at(self, x: np.ndarray) -> np.ndarray:
+        """g at ``x``, the point last valued."""
+        return self.shared_gradient()
 
 
 def pg_solve(
@@ -590,11 +647,14 @@ def npg_solve(
       ``M+1`` values.
 
     Iterates with empty support skip the first two moves.  Stops on
-    the same consecutive-objective criterion as ``pg_solve``.  The swap and
-    the support change ask again for the gradient at the point NPG has just
-    taken it at, and the certificate may too; on the package's objectives the
-    gradient memo serves those calls with no dense product.  A non-finite
-    objective value raises ``FloatingPointError`` naming the iteration and the
+    the same consecutive-objective criterion as ``pg_solve``.  On the
+    package's objectives each point is evaluated from the support its
+    projection or move gave, and the gradient at each accepted point is
+    formed once, from that point's loss derivative; the swap and the support
+    change, which ask again for a gradient NPG has just formed, get it from
+    the gradient memo with no dense product, and so may the certificate (see
+    the module docstring).  A non-finite objective value, or a non-finite
+    gradient step, raises ``FloatingPointError`` naming the iteration and the
     phase (``initial``, ``swap``, ``support change`` or ``trial``), and a trial
     that needs more than ``max_backtracks`` shrinks raises ``RuntimeError``.
     """
@@ -605,6 +665,8 @@ def npg_solve(
     _require_tol(certify_tol)
     bound = max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink)
 
+    steps = _ScreenedSteps(obj, set_, s) if isinstance(obj, _LinearModel) else _DenseSteps(obj)
+
     columns = _Columns()
     start = time.perf_counter()
     f_initial, g = obj.value_and_grad(x)
@@ -612,33 +674,41 @@ def npg_solve(
     x_prev = g_prev = None
     moving = np.count_nonzero(x) > 0
     for k in range(config.max_iter):
-        x_new = None
+        # g_new: the gradient at x_new, when a move has formed it already
+        x_new = g_new = None
         if k % config.N == 0 and moving:
             y = coordinate_swap(obj, set_, x)
             if not np.array_equal(y, x):
-                f_y = _finite(obj.value(y), k, "swap")
+                supp_y = y.nonzero()[0]
+                f_y = _finite(steps.value(y, supp_y, y[supp_y]), k, "swap")
                 x_new = y
-                _record(columns, "swap", f_y, None, y, _dist_sq(y, x), set_)
+                columns.append("swap", f_y, None, supp_y, _dist_sq(y, x), set_._constraint_gaps(y))
         elif k % config.N == config.q and moving:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
                 beta = gap.step
-                xt = project_sparse(set_, s, x - beta * g).point
-                f_xt = _finite(obj.value(xt), k, "support change")
-                if np.count_nonzero(xt) > 0:
+                xt, supp_t, xt_supp = steps.project(
+                    set_, s, _step(x, beta, g, k, "support change"),
+                )
+                f_xt = _finite(steps.value(xt, supp_t, xt_supp), k, "support change")
+                g_t = None
+                if supp_t.size:
+                    g_t = steps.shared_gradient()  # change_support asks for it
                     xh = change_support(obj, set_, s, xt, beta)
-                    f_xh = _finite(obj.value(xh), k, "support change")
+                    supp_h = xh.nonzero()[0]
+                    f_xh = _finite(steps.value(xh, supp_h, xh[supp_h]), k, "support change")
                     dist_sq = _dist_sq(xh, xt)
                     if f_xh <= f_xt - 0.5 * config.c1 * dist_sq:
                         x_new = xh
-                        _record(
-                            columns, "support_change_accept_hx", f_xh, beta, xh, _dist_sq(xh, x),
-                            set_, projstep_value=f_xt, projstep_dist_sq=dist_sq,
+                        columns.append(
+                            "support_change_accept_hx", f_xh, beta, supp_h, _dist_sq(xh, x),
+                            set_._constraint_gaps(xh), 0, f_xt, dist_sq,
                         )
                 if x_new is None and beta > 0:
-                    x_new = xt
-                    _record(
-                        columns, "support_change_accept_tx", f_xt, beta, xt, _dist_sq(xt, x), set_,
+                    x_new, g_new = xt, g_t
+                    columns.append(
+                        "support_change_accept_tx", f_xt, beta, supp_t, _dist_sq(xt, x),
+                        set_._constraint_gaps(xt),
                     )
 
         if x_new is None:
@@ -649,8 +719,8 @@ def npg_solve(
             f_ref = max(f_hist[-(config.M + 1):])
             backtracks = 0
             while True:
-                w = project_sparse(set_, s, x - t_trial * g).point
-                fw = _finite(obj.value(w), k, "trial")
+                w, supp_w, w_supp = steps.project(set_, s, _step(x, t_trial, g, k, "trial"))
+                fw = _finite(steps.value(w, supp_w, w_supp), k, "trial")
                 move_sq = _dist_sq(w, x)
                 if fw <= f_ref - 0.5 * config.c2 * move_sq:
                     break
@@ -662,7 +732,10 @@ def npg_solve(
                         f"the objective's lipschitz {lipschitz!r} is likely understated"
                     )
             x_new = w
-            _record(columns, "projected_gradient", fw, t_trial, w, move_sq, set_, backtracks)
+            columns.append(
+                "projected_gradient", fw, t_trial, supp_w, move_sq, set_._constraint_gaps(w),
+                backtracks,
+            )
 
         f_hist.append(columns.f_value[-1])
         x_prev, g_prev, x = x, g, x_new
@@ -670,5 +743,5 @@ def npg_solve(
         done = abs(f_hist[-1] - f_hist[-2]) <= config.f_tol
         if done:
             break
-        g = obj.grad(x)
+        g = steps.gradient_at(x) if g_new is None else g_new
     return _finish(obj, set_, s, x, f_initial, columns, done, start, certify, grid, certify_tol)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import _complement, _norm, _proper_support, _Record, as_vector, support_of
 from .projection import _certified_unique, _check_sparsity_level, _top_support, project_sparse
-from .sets import SymmetricSet
+from .sets import _SCALAR_MAX, SymmetricSet
 from .subroutines import _swap_candidates
 
 __all__ = [
@@ -110,7 +110,9 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
     ``min ranking(x_S - t*g_S) - alpha*t``, alpha the largest off-support
     ranking value of ``-g``.  Each on-support curve is linear on nonnegative
     sets, with candidates 0 and ``t_max``; sign-free sets add its clipped kink
-    ``x_i/g_i``.  Ties in the minimizer resolve to the largest step.
+    ``x_i/g_i``.  Ties in the minimizer resolve to the largest step.  A
+    support of at most ``_SCALAR_MAX`` entries takes the candidates in Python
+    floats, with the bits of the NumPy path.
     """
     x = as_vector(x)
     grad = as_vector(grad, x.size)
@@ -123,17 +125,53 @@ def minimize_support_gap(set_: SymmetricSet, x, grad, t_max: float) -> GapMinimu
         return GapMinimum(step=t_max, value=0.0)
 
     alpha = _off_support_slope(set_, grad, supp)
-    xs, gs = x[supp], grad[supp]
-    rows = [np.zeros(supp.size), np.full(supp.size, float(t_max))]
+    minimum = _scalar_gap_minimum if supp.size <= _SCALAR_MAX else _array_gap_minimum
+    step, value = minimum(set_, x[supp], grad[supp], alpha, float(t_max))
+    return GapMinimum(step=step, value=value)
+
+
+def _array_gap_minimum(
+    set_: SymmetricSet, xs: np.ndarray, gs: np.ndarray, alpha: float, t_max: float
+) -> tuple[float, float]:
+    """The largest minimizing step and the minimum of the gap at the candidate steps.
+
+    The candidates are those of :func:`minimize_support_gap`, each kink
+    clipped to [0, t_max].
+    """
+    rows = [np.zeros(xs.size), np.full(xs.size, t_max)]
     if set_.kind == "sign-free":
         with np.errstate(over="ignore"):  # x_i / g_i may overflow to inf, which clips to t_max
-            kink = np.divide(xs, gs, out=np.zeros(supp.size), where=gs != 0)
+            kink = np.divide(xs, gs, out=np.zeros(xs.size), where=gs != 0)
         # a kink at or below 0 (or none, where g_i = 0) is the candidate 0 again
         rows.append(np.where(kink > 0, np.minimum(kink, t_max), 0.0))
     steps = np.stack(rows)
     vals = set_.ranking_values(xs - steps * gs) - alpha * steps
     best = vals.min()
-    return GapMinimum(step=float(steps[vals == best].max()), value=float(best))
+    return float(steps[vals == best].max()), float(best)
+
+
+def _scalar_gap_minimum(
+    set_: SymmetricSet, xs: np.ndarray, gs: np.ndarray, alpha: float, t_max: float
+) -> tuple[float, float]:
+    """:func:`_array_gap_minimum` in Python floats, bit for bit, for short vectors.
+
+    Each candidate takes the same operations in the same order: ``x_i - t*g_i``,
+    the ranking value, then ``- alpha*t``.  Python's float division, like
+    NumPy's, overflows to inf, which clips to ``t_max``.
+    """
+    sign_free = set_.kind == "sign-free"
+    steps, vals = [], []
+    for x_i, g_i in zip(xs.tolist(), gs.tolist()):
+        candidates = (0.0, t_max)
+        if sign_free:
+            kink = x_i / g_i if g_i else 0.0
+            candidates = (0.0, t_max, min(kink, t_max) if kink > 0 else 0.0)
+        for t in candidates:
+            z = x_i - t * g_i
+            steps.append(t)
+            vals.append((abs(z) if sign_free else z) - alpha * t)
+    best = min(vals)
+    return max(t for t, v in zip(steps, vals) if v == best), best
 
 
 def _require_tol(tol: float) -> None:

@@ -22,13 +22,16 @@ from sparsepg import (
     make_rng,
     max_backtracks,
     minimize_support_gap,
+    nonneg_orthant,
     nonneg_simplex,
     npg_solve,
     pg_solve,
     support_of,
 )
+from sparsepg import solvers
 from sparsepg.bench import solve_instance
 from sparsepg.objectives import _LinearModel
+from sparsepg.projection import _top_support
 from sparsepg.sets import _SCALAR_MAX, _finite_least
 from sparsepg.solvers import _bb_stepsize, _ScreenedSteps
 from oracles import replay_iterates
@@ -537,30 +540,121 @@ def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
     assert np.array_equal(trace.x_final, dense.x_final)
 
 
+def canonical(trace) -> str:
+    """``trace.to_dict()`` without its wall time, as JSON, which keeps the sign of a zero."""
+    fields = trace.to_dict()
+    del fields["wall_time_seconds"]
+    return json.dumps(fields, sort_keys=True)
+
+
 def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
-    # swaps and support changes ask again for gradients NPG has just formed;
-    # those calls cost no product
-    inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(100))
-    config = benchmark_config(inst.objective.lipschitz, M=4, N=5, q=3)
+    # the same solve through the public protocol asks for a gradient at each
+    # accepted point, and again in swaps, support changes and the certificate;
+    # the linear model forms one product per run of equal points, and a swap
+    # or support change that asks again for the point just served costs none;
+    # on the logistic instance the last support-change point equals the
+    # iterate, whose gradient the memo already holds
     points = []
     for name in ("grad", "value_and_grad"):
-        def recorded(model, x, method=getattr(_LinearModel, name)):
+        def recorded(proxy, x, method=getattr(PublicProtocol, name)):
             points.append(np.array(x, dtype=float))
-            return method(model, x)
+            return method(proxy, x)
 
-        monkeypatch.setattr(_LinearModel, name, recorded)
-    trace = npg_solve(inst.objective, inst.set_, inst.s, inst.x0, config)
-    kinds = {r.step_kind for r in trace.records}
-    assert {"swap", "support_change_accept_hx", "support_change_accept_tx"} <= kinds
-    repeats = sum(np.array_equal(a, b) for a, b in zip(points, points[1:]))
-    assert repeats > 0
-    assert len(products) == len(points) - repeats
+        monkeypatch.setattr(PublicProtocol, name, recorded)
+    cases = [
+        (gen_cs_instance(24, 80, 4, 0.1, make_rng(100)),
+         {"swap", "support_change_accept_hx", "support_change_accept_tx"}),
+        (gen_instance("logistic", 30, 60, 117, s=4), {"support_change_accept_tx"}),
+    ]
+    for inst, moves in cases:
+        obj = inst.objective
+        config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
+        before = len(products)
+        trace = npg_solve(obj, inst.set_, inst.s, inst.x0, config)
+        formed = len(products) - before
+        points.clear()
+        public = npg_solve(PublicProtocol(obj), inst.set_, inst.s, inst.x0, config)
+        assert moves <= {r.step_kind for r in trace.records}
+        repeats = sum(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        assert repeats > 0
+        assert formed == len(points) - repeats
+        assert canonical(trace) == canonical(public)
+
+
+@settings(max_examples=60, deadline=None)
+@given(screening_problems(), st.integers(0, 2**16))
+def test_npg_private_path_gives_the_public_bits_on_every_set_and_loss(problem, where):
+    # a -0.0 entry of the start is off its support; where the gradient is
+    # 0 there, a step keeps it, and the projection may choose it
+    obj, set_, s, x0 = problem
+    x0 = x0.copy()
+    j = where % x0.size
+    if x0[j] == 0.0:
+        x0[j] = -0.0
+    config = benchmark_config(obj.lipschitz, M=4, N=5, q=3, max_iter=60)
+    trace = npg_solve(obj, set_, s, x0, config)
+    public = npg_solve(PublicProtocol(obj), set_, s, x0, config)
+    assert canonical(trace) == canonical(public)
+
+
+def test_npg_private_path_drops_zeroed_and_negative_zero_entries_from_the_support(monkeypatch):
+    # on the l1 ball, the soft threshold zeroes chosen entries, and a chosen
+    # -0.0 of the start stays -0.0 (columns 0 and 2 of A are zero, so the
+    # gradient is 0 there); neither is on the support that NPG evaluates from
+    chosen_zeros = []
+    project = solvers._project_sparse
+
+    def spied(set_, s, x):
+        point, supp, values = project(set_, s, x)
+        for j in np.setdiff1d(_top_support(set_.ranking_values(x), s), supp):
+            chosen_zeros.append("-0.0" if np.signbit(point[j]) else "zeroed" if x[j] else "0.0")
+        return point, supp, values
+
+    evaluated = []
+    value = _ScreenedSteps.value
+
+    def checked(steps, x, supp, x_supp):
+        assert np.array_equal(supp, x.nonzero()[0])
+        assert x_supp.tobytes() == x[supp].tobytes()
+        evaluated.append(supp.size)
+        return value(steps, x, supp, x_supp)
+
+    monkeypatch.setattr(solvers, "_project_sparse", spied)
+    monkeypatch.setattr(_ScreenedSteps, "value", checked)
+    rng = make_rng(1)
+    a = rng.standard_normal((8, 12))
+    a[:, [0, 2, 3, 5, 7, 9, 10, 11]] = 0.0
+    obj = LeastSquares(a, rng.standard_normal(8))
+    x0 = np.zeros(12)
+    x0[0] = -0.0
+    config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
+    trace = npg_solve(obj, l1_ball(0.5), 3, x0, config)
+    assert {"-0.0", "zeroed"} <= set(chosen_zeros)
+    assert len(evaluated) >= trace.iterations
+    public = npg_solve(PublicProtocol(obj), l1_ball(0.5), 3, x0, config)
+    assert canonical(trace) == canonical(public)
+
+
+def test_npg_fails_fast_on_a_non_finite_trial_step():
+    # g = (-1, 1e308, 0) at 0, so the first trial step, at t = t_min = 4,
+    # overflows to -inf at entry 1; the top-1 projection on the orthant would
+    # keep only entry 0 and give a finite point
+    class Steep(LeastSquares):
+        lipschitz = 1.0
+
+    obj = Steep(np.diag([1.0, 1e300, 1.0]), np.array([1.0, -1e8, 0.0]))
+    config = small_config(1.0, t_min=4.0)
+    for objective in (obj, PublicProtocol(obj)):
+        with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="iteration 0, trial phase"
+        ):
+            npg_solve(objective, nonneg_orthant(), 1, np.zeros(3), config)
 
 
 def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
     # a gradient formed before a solve, or left by the last one, is not served
     # inside it: identical solves form equally many products, and each solve
-    # ends with the memo empty
+    # ends with the memo empty and no array of its evaluations kept
     inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(100))
     obj = inst.objective
     config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
@@ -574,6 +668,7 @@ def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
         (still, still_x0, lambda: npg_solve(still, full_space(), 2, still_x0, still_config)),
     ]
     for model, x0, solve in solves:
+        data = {id(model.A), id(model.b)}
         counts = []
         for warm in (False, False, True):
             if warm:
@@ -582,6 +677,13 @@ def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
             solve()
             counts.append(len(products))
             assert model._memo is None
+            # no point, loss derivative or support columns of the solve's
+            # evaluations stay on the model
+            kept = [
+                name for name, held in vars(model).items()
+                if isinstance(held, np.ndarray) and id(held) not in data and held.size
+            ]
+            assert kept == []
         assert counts[0] == counts[1] == counts[2] > 0
 
 

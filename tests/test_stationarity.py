@@ -24,6 +24,8 @@ from sparsepg import (
     support_gap,
 )
 from sparsepg.projection import _certified_unique
+from sparsepg.sets import _SCALAR_MAX
+from sparsepg.stationarity import _array_gap_minimum, _scalar_gap_minimum
 from oracles import (brute_force_project, coordinatewise_by_enumeration, gap_minimum_by_loop,
                      gap_on_grid, strong_stationary_on_grid, unique_by_support)
 
@@ -156,6 +158,37 @@ def test_gap_minimum_and_gap_match_the_coordinate_loop_and_the_definition():
     x, grad = np.array([1.0, 0.0, 0.0]), np.array([1e-309, 1.0, 0.5])
     gm = minimize_support_gap(full_space(), x, grad, 2.0)
     assert (gm.step, gm.value) == gap_minimum_by_loop(full_space(), x, grad, 2.0) == (2.0, -1.0)
+
+
+# small values tie; 1e300 over a g_i of 1e-300 or below overflows to inf
+GAP_X = (-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 1e300, -1e300, 1e-300)
+GAP_G = (-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, -1e-300, 1e-309)
+
+
+@st.composite
+def gap_cases(draw):
+    """Support values, gradient entries, alpha and t_max of one gap minimization."""
+    size = draw(st.integers(1, _SCALAR_MAX))
+    finite = st.floats(-4.0, 4.0, allow_nan=False)
+    xs = draw(st.lists(st.sampled_from(GAP_X) | finite.filter(bool), min_size=size, max_size=size))
+    gs = draw(st.lists(st.sampled_from(GAP_G) | finite, min_size=size, max_size=size))
+    alpha = draw(st.sampled_from((-2.0, 0.0, 0.5, 1.0, 3.0)) | finite)
+    t_max = draw(st.sampled_from((0.25, 1.0, 2.0, 1e8)) | st.floats(1e-3, 1e8))
+    return np.array(xs), np.array(gs), alpha, t_max
+
+
+@settings(max_examples=400, deadline=None)
+@given(gap_cases())
+# kinks at 2 (past t_max = 1) and inf, g_i = 0 and -0.0, ties at the minimum
+@example((np.array([2.0, 1e300, 1.0, -1.0, 3.0]), np.array([1.0, 1e-300, 0.0, -0.0, 1.0]), 1.0, 1.0))
+def test_gap_minimum_in_python_floats_matches_the_numpy_path(case):
+    xs, gs, alpha, t_max = case
+    for set_ in ALL_SETS:
+        ours = _scalar_gap_minimum(set_, xs, gs, alpha, t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference = _array_gap_minimum(set_, xs, gs, alpha, t_max)
+        assert np.array(ours).tobytes() == np.array(reference).tobytes(), set_
 
 
 def test_gap_concavity_on_nonnegative_sets():
