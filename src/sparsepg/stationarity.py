@@ -8,6 +8,18 @@ the one super support that fails first, plus a one-coordinate swap test).  The
 support gap of a gradient step, smallest on-support minus largest off-support
 ranking value, has one closed form for both set kinds, minimized in O(|S|)
 evaluations.
+
+The grid check steps on the support when it can.  At a point x with s
+nonzeros on S, the entries of ``x - t*g`` off S are exactly ``-fl(t*g_j)``,
+and rounding is monotone and sign-symmetric, so their largest ranking value
+is exactly ``t*alpha``, alpha the largest off-support ranking value of
+``-g``.  A step whose every ranking value on S beats ``t*alpha`` has S as
+its strict top-s support, and its projection, distance to x and uniqueness
+test follow from the s entries on S with the bits of the n-wide step; a tie,
+an entry that is not finite or a point with fewer than s nonzeros takes the
+n-wide projection.  Only the linear models take this path: any other
+objective sees one ``project_sparse`` per grid step, the calls that a
+wrapper counting or timing them expects.
 """
 
 from __future__ import annotations
@@ -17,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _complement, _norm, _proper_support, _Record, as_vector, support_of
+from .core import _complement, _norm, _proper_support, _Record, _scatter, as_vector, support_of
+from .objectives import _LinearModel
 from .projection import _certified_unique, _check_sparsity_level, _top_support, project_sparse
-from .sets import _SCALAR_MAX, SymmetricSet
+from .sets import _SCALAR_MAX, SymmetricSet, _finite_least
 from .subroutines import _swap_candidates
 
 __all__ = [
@@ -210,29 +223,58 @@ def check_strong_stationary(
     whenever it moves the point (the descent property behind L-stationarity),
     so on the solvers' grid, which ends at ``0.995/L``, one evaluation past f
     at x finds the witness.
+
+    On a linear model, a point with s nonzeros on S takes f and g from one
+    ``value_and_grad`` and steps on S.  Off S a step's largest ranking value
+    is exactly ``t*alpha`` (the module docstring says why), so a step whose
+    ranking values on S all beat it has S as its top-s support with no tie,
+    and :func:`_screened_step` decides it from the s entries on S with no
+    n-wide selection; it builds the projected n-vector alone.  A step that
+    moves still forms its distance to x, the ``general`` sums and the
+    witness's value over the n-vector.  A tie, an entry that is not finite
+    and a point with fewer than s nonzeros take the n-wide step, which
+    raises the same error at the same step.  Any other objective takes the
+    n-wide step throughout, through one ``grad``, one ``value`` and one
+    ``project_sparse`` per grid step, so that a wrapper counting or timing
+    its calls sees each of them.
     """
     x = as_vector(x)
     _require_feasible(set_, s, x, tol)
-    grad = obj.grad(x)
-    fx = obj.value(x)
+    supp = x.nonzero()[0]
+    screen = isinstance(obj, _LinearModel) and supp.size == s
+    if screen:
+        fx, grad = obj.value_and_grad(x)
+        x_supp, g_supp = x[supp], grad[supp]
+        alpha = _off_support_slope(set_, grad, supp)
+        g_max = float(np.delete(np.abs(grad), supp).max())
+    else:
+        grad = obj.grad(x)
+        fx = obj.value(x)
     general = True
     strong = True
     worst = 0.0
     witness = None
-    for t in np.sort(_grid_steps(t_grid))[::-1]:
-        a = x - t * grad
-        proj = project_sparse(set_, s, a)
-        move = _norm(proj.point - x)
+    for t in np.sort(_grid_steps(t_grid))[::-1].tolist():
+        a = step = None
+        if screen:
+            step = _screened_step(set_, s, x, supp, x_supp, g_supp, t, alpha, g_max, tol)
+        if step is None:
+            a = x - t * grad
+            proj = project_sparse(set_, s, a)
+            move = _norm(proj.point - x)
+            step = proj.point, move, move <= tol and _certified_unique(set_, s, a, proj)
+        point, move, certified = step
         worst = max(worst, move)
         if move <= tol:
-            if not _certified_unique(set_, s, a, proj):
-                strong = False
+            strong = strong and certified
             continue
         strong = False
-        if general and float(((x - a) ** 2).sum()) > float(((proj.point - a) ** 2).sum()) + tol:
-            general = False
-        if witness is None and obj.value(proj.point) < fx:
-            witness = proj.point
+        if general:
+            a = x - t * grad if a is None else a
+            if float(((x - a) ** 2).sum()) > float(((point - a) ** 2).sum()) + tol:
+                general = False
+        if witness is None and obj.value(point) < fx:
+            witness = point
     return StationarityReport(
         general=general,
         strong=strong,
@@ -240,6 +282,36 @@ def check_strong_stationary(
         worst_violation=worst,
         witness=witness,
     )
+
+
+def _screened_step(
+    set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray,
+    g_supp: np.ndarray, t: float, alpha: float, g_max: float, tol: float,
+) -> tuple[np.ndarray, float, bool] | None:
+    """The projection of ``x - t*g``, its distance to x and its certificate, from S alone.
+
+    ``x`` holds ``x_supp`` on its s nonzeros S; ``alpha`` is the largest
+    off-support ranking value of ``-g`` and ``g_max`` the largest ``|g_j|``
+    off S, so ``t*alpha`` and ``t*g_max`` are exactly the step's largest
+    ranking value and absolute entry off S.  The certificate is the test of
+    :func:`certify_unique`, run only when the step stays within ``tol``.
+    None, for the n-wide step, on a tie or an entry that is not finite.
+    """
+    a_supp = x_supp - t * g_supp
+    lo = _finite_least(set_.ranking_values(a_supp))
+    off = t * alpha
+    # lo is NaN unless every entry on S is finite; t*g_max bounds those off S
+    if not (lo > off and math.isfinite(t * g_max)):
+        return None
+    values = set_._project(a_supp)
+    point = _scatter(x.size, supp, values)
+    # equal values move by an exact 0; ddot groups its terms by position, so
+    # any other move is summed over the n-vector
+    move = 0.0 if values.tobytes() == x_supp.tobytes() else _norm(point - x)
+    if move > tol:
+        return point, move, False
+    margin = 1e-10 * (1.0 + max(float(abs(a_supp).max()), t * g_max))
+    return point, move, bool(np.count_nonzero(values) < s or lo > off + margin)
 
 
 def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:

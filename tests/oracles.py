@@ -18,6 +18,28 @@ from sparsepg.subroutines import _swap_candidates, change_support, coordinate_sw
 BRUTE_MAX_N = 20
 
 
+class PublicProtocol:
+    """An objective seen only through its public calls.
+
+    The solvers take their dense steps and the certificate its n-wide grid
+    steps for it, the reference paths of the linear models' private ones.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.dim = inner.dim
+        self.lipschitz = inner.lipschitz
+
+    def value(self, x):
+        return self._inner.value(x)
+
+    def grad(self, x):
+        return self._inner.grad(x)
+
+    def value_and_grad(self, x):
+        return self._inner.value_and_grad(x)
+
+
 def brute_force_project(set_, s, x):
     """Testing oracle: enumerate every size-``s`` support and keep all minimizers.
 

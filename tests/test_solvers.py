@@ -34,7 +34,7 @@ from sparsepg.objectives import _LinearModel
 from sparsepg.projection import _top_support
 from sparsepg.sets import _SCALAR_MAX, _finite_least
 from sparsepg.solvers import _bb_stepsize, _ScreenedSteps
-from oracles import replay_iterates
+from oracles import PublicProtocol, replay_iterates
 
 
 def quadratic(center):
@@ -432,24 +432,6 @@ def test_npg_fails_fast_on_nan_values():
         npg_solve(obj, full_space(), 2, np.zeros(3), config)
     with pytest.raises(FloatingPointError, match="iteration 0, initial phase"):
         npg_solve(obj, full_space(), 2, np.array([1.0, 0.0, 0.0]), config)
-
-
-class PublicProtocol:
-    """An objective seen only through the solvers' public protocol, so PG takes dense steps."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.dim = inner.dim
-        self.lipschitz = inner.lipschitz
-
-    def value(self, x):
-        return self._inner.value(x)
-
-    def grad(self, x):
-        return self._inner.grad(x)
-
-    def value_and_grad(self, x):
-        return self._inner.value_and_grad(x)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,11 +24,13 @@ from sparsepg import (
     project_sparse,
     support_gap,
 )
+from sparsepg import stationarity
 from sparsepg.projection import _certified_unique
 from sparsepg.sets import _SCALAR_MAX
 from sparsepg.stationarity import _array_gap_minimum, _scalar_gap_minimum
-from oracles import (brute_force_project, coordinatewise_by_enumeration, gap_minimum_by_loop,
-                     gap_on_grid, strong_stationary_on_grid, unique_by_support)
+from oracles import (PublicProtocol, brute_force_project, coordinatewise_by_enumeration,
+                     gap_minimum_by_loop, gap_on_grid, strong_stationary_on_grid,
+                     unique_by_support)
 
 ALL_SETS = catalog()
 
@@ -259,18 +262,21 @@ def test_strong_implies_general():
             assert report.general
 
 
-def assert_matches_certified_grid(obj, set_, s, x, grid):
-    """The report of ``check_strong_stationary``, after comparing it with the reference."""
-    report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
-    expected = strong_stationary_on_grid(obj, set_, s, x, grid, 1e-6)
-    assert report.general == expected.general
-    assert report.strong == expected.strong
+def assert_same_report(report, expected):
+    """Equal verdicts and ``worst_violation``, and witnesses equal byte for byte."""
+    assert (report.general, report.strong) == (expected.general, expected.strong)
     assert report.worst_violation == expected.worst_violation
-    assert report.coordinatewise is None
+    assert report.coordinatewise is expected.coordinatewise is None
     if expected.witness is None:
         assert report.witness is None
     else:
-        assert np.array_equal(report.witness, expected.witness)
+        assert report.witness.tobytes() == expected.witness.tobytes()
+
+
+def assert_matches_certified_grid(obj, set_, s, x, grid):
+    """The report of ``check_strong_stationary``, after comparing it with the reference."""
+    report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
+    assert_same_report(report, strong_stationary_on_grid(obj, set_, s, x, grid, 1e-6))
     return report
 
 
@@ -470,6 +476,144 @@ def test_witness_rule_evaluates_every_moving_step_when_none_lowers_f():
     assert report.witness is None
     assert counted.value_calls == 1 + 3
     assert report == strong_stationary_on_grid(obj, full_space(), 1, x, grid, 1e-6)
+
+
+def screened_case(set_, model, seed, short, t_max):
+    """A linear model on small integers, a point of ``set_`` and a grid that starts at 0.
+
+    Integer data and a dyadic grid to ``t_max`` make ties likely, and so do
+    exact least-squares gradients; ``t_max`` None takes the solvers' grid,
+    which ends below 1/L, and the dyadic grids run past it.  A start with
+    fewer than s nonzeros gives ||x||_0 < s on all but the simplex, and
+    about half of the zeros of x are ``-0.0``.
+    """
+    rng = make_rng(seed)
+    n = int(rng.integers(3, 13))
+    m = int(rng.integers(2, 9))
+    s = int(rng.integers(1, n))
+    a = rng.integers(-2, 3, (m, n)).astype(float)
+    a[0, 0] = a[0, 0] or 1.0
+    targets = rng.choice([-1.0, 1.0], m) if model is Logistic else rng.integers(-3, 4, m)
+    obj = model(a, targets.astype(float))
+    start = rng.integers(-2, 3, n).astype(float)
+    if short:
+        start[rng.permutation(n)[s - 1:]] = 0.0
+    x = project_sparse(set_, s, start).point
+    x[(x == 0) & (rng.random(n) < 0.5)] = -0.0
+    if t_max is None:
+        return obj, s, x, default_grid(default_stepsize(obj.lipschitz), 50)
+    return obj, s, x, default_grid(t_max, 9)
+
+
+@pytest.fixture
+def wide_projections(monkeypatch):
+    """The vectors that the certificate projects n-wide, in call order."""
+    seen = []
+
+    def counted(set_, s, a):
+        seen.append(a)
+        return project_sparse(set_, s, a)
+
+    monkeypatch.setattr(stationarity, "project_sparse", counted)
+    return seen
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(ALL_SETS),
+    st.sampled_from([LeastSquares, Logistic]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 0.5, 2.0, 8.0]),
+)
+# a step ties the smallest ranking value on S with the largest off it, at
+# a lower index off S, and falls back to the n-wide projection, which
+# takes that index
+@example(full_space(), LeastSquares, 34, False, 0.5)
+# an l1-ball sub-projection zeroes an entry of S at a screened step
+@example(l1_ball(), LeastSquares, 48, False, 2.0)
+# the simplex meets both
+@example(nonneg_simplex(), LeastSquares, 56, False, 2.0)
+def test_screened_certificate_matches_the_public_path_and_the_grid_reference(
+    set_, model, seed, short, t_max
+):
+    obj, s, x, grid = screened_case(set_, model, seed, short, t_max)
+    report = assert_matches_certified_grid(obj, set_, s, x, grid)
+    public = check_strong_stationary(PublicProtocol(obj), set_, s, x, grid, 1e-6)
+    assert_same_report(report, public)
+
+
+@pytest.mark.parametrize("set_", ALL_SETS, ids=str)
+def test_screened_certificate_sums_each_move_over_the_n_vector(set_):
+    # from n = 16 on, BLAS can group the terms of a dot product differently
+    # for the n-vector and its nonzeros alone, so only the n-vector gives the
+    # public path's worst_violation; near a fit of x the gradient is small,
+    # so every step keeps the top-s support, screens and moves
+    rng = make_rng(23)
+    m, n, s = 20, 40, 12
+    a = rng.standard_normal((m, n))
+    grid = default_grid(2.0 * default_stepsize(LeastSquares(a, np.zeros(m)).lipschitz), 50)
+    for _ in range(5):
+        x = project_sparse(set_, s, rng.standard_normal(n)).point
+        obj = LeastSquares(a, a @ x + 1e-3 * rng.standard_normal(m))
+        report = check_strong_stationary(obj, set_, s, x, grid, 1e-6)
+        assert report.worst_violation > 1e-6
+        public = check_strong_stationary(PublicProtocol(obj), set_, s, x, grid, 1e-6)
+        assert_same_report(report, public)
+
+
+def test_screened_certificate_projects_nothing_n_wide_when_every_step_screens(wide_projections):
+    # x = (1 - 1e-10, 1e-10) on the 2-sparse l1 ball, and each step pushes
+    # x_0 up by about 1.1e-6*t: the soft threshold zeroes x_1 and moves x by
+    # about 1.4e-10, within tol.  x_1 lies within the uniqueness margin, so
+    # each step is certified only because its projection has fewer than s
+    # nonzeros
+    x = np.array([1.0 - 1e-10, 1e-10, 0.0, -0.0])
+    obj = quadratic([1.0 + 1e-6, 1e-10, 0.0, 0.0])
+    grid = [0.25, 0.5, 0.75, 1.0]
+    report = check_strong_stationary(obj, l1_ball(), 2, x, grid, 1e-6)
+    assert wide_projections == []
+    assert (report.general, report.strong, report.witness) == (True, True, None)
+    assert 0 < report.worst_violation <= 1e-6
+    assert_same_report(report, strong_stationary_on_grid(obj, l1_ball(), 2, x, grid, 1e-6))
+
+
+def test_screened_certificate_falls_back_at_a_tied_step_only(wide_projections):
+    # g = (-1, 0), so x - t*g = (t, 1) ties its two entries at t = 1: that step
+    # alone projects n-wide, and takes index 0, which moves the point to a
+    # second projection as near as x, so x is general but not strong
+    x = np.array([-0.0, 1.0, 0.0])
+    obj = quadratic([1.0, 1.0, 0.0])
+    grid = default_grid(1.0, 5)
+    report = check_strong_stationary(obj, full_space(), 1, x, grid, 1e-6)
+    assert len(wide_projections) == 1 and wide_projections[0].tolist() == [1.0, 1.0, 0.0]
+    assert (report.general, report.strong, report.witness) == (True, False, None)
+    assert report.worst_violation == math.sqrt(2.0)
+    public = check_strong_stationary(PublicProtocol(obj), full_space(), 1, x, grid, 1e-6)
+    assert_same_report(report, public)
+
+
+@pytest.mark.parametrize(
+    "set_, center",
+    [
+        # the step on S overflows: |1 - 1e308 * (1 + 1e10)| is inf
+        (full_space(), [-1e10, 0.0, 0.0]),
+        # the step off S overflows to -inf, below every entry on S, so the
+        # nonnegative set still ranks S on top
+        (nonneg_orthant(), [2.0, -1e10, 0.0]),
+    ],
+)
+def test_screened_certificate_raises_at_an_overflowing_step(wide_projections, set_, center):
+    x = np.array([1.0, 0.0, 0.0])
+    obj = quadratic(center)
+    grid = [0.0, 1.0, 1e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            check_strong_stationary(obj, set_, 1, x, grid, 1e-6)
+        # the largest step is walked first, and it projects n-wide
+        assert len(wide_projections) == 1
+        with pytest.raises(ValueError, match="finite"):
+            check_strong_stationary(PublicProtocol(obj), set_, 1, x, grid, 1e-6)
 
 
 def test_check_coordinatewise_at_optimum():
