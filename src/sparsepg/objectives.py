@@ -36,21 +36,14 @@ from the dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
 ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only the entries on
 S gets them, bit for bit, for O(m * ||x||_0).
 
-``grad`` and ``value_and_grad`` share a one-entry memo of the last point they
-formed a gradient at.  Its key is the support S of ``x`` and ``x[S]`` as
-exact bytes: f and g depend on ``x`` only through them, and a ``-0.0`` entry
-is off S.  At an equal key both return the kept f and a copy of the kept g,
-the bits that forming them again would give, with no dense product; at any
-other key they form f and g and keep them.  The memo costs one n-vector.
-``value`` neither reads nor writes it: building the key costs about 1 us,
-more than the many ``value`` calls of a solve would save.  On these models
-``npg_solve`` evaluates each point it forms from its support, which a
-projection gives with no scan, and keeps the loss derivative ``v``; it forms
-the gradient at each accepted point from that ``v``, with no second
-``A[:, S] @ x_S`` or loss pass, and puts it in the memo, where the ``grad``
-calls of its swaps and support changes find it.  The solvers empty the memo
-and the kept columns when a solve starts and after its certificate, so
-nothing of one solve's evaluations crosses to the next.
+``grad`` and ``value_and_grad`` form g anew on each call, in a new array;
+the models keep no gradient.  On these models ``npg_solve`` evaluates each
+point it forms from its support, which a projection gives with no scan, and
+keeps the loss derivative ``v``; it forms the gradient at each accepted point
+from that ``v``, with no second ``A[:, S] @ x_S`` or loss pass, and hands it,
+with the f it holds, to its swaps and support changes as arguments.  The
+solvers empty the kept columns when a solve starts and after its
+certificate, so nothing of one solve's evaluations crosses to the next.
 
 Each model forms its loss and derivative in one pass over ``p``, the same
 arithmetic on every path.  The logistic loss takes one ``logaddexp``: with
@@ -133,9 +126,8 @@ class _LinearModel:
 
     Subclasses supply ``_loss_and_dloss(p)``: the loss and the m-vector ``v``
     with gradient ``A.T @ v``, from one pass over ``p``.  ``value``, ``grad``
-    and ``value_and_grad`` check ``x`` on every call; ``value`` forms ``p`` in
-    ``_evaluate``, and the other two form it in ``_value_and_grad`` unless the
-    memo holds ``x``.  ``_gradient`` applies the support-column rule.
+    and ``value_and_grad`` check ``x`` on every call and form ``p`` in
+    ``_evaluate``.  ``_gradient`` applies the support-column rule.
     """
 
     def __init__(self, A):
@@ -152,10 +144,9 @@ class _LinearModel:
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept support columns and the gradient memo, as the solvers do around a solve."""
+        """Drop the kept support columns, as the solvers do around a solve."""
         self._supp = np.empty(0, dtype=np.intp)
         self._cols = self.A[:, self._supp]
-        self._memo: tuple[bytes, float, np.ndarray] | None = None  # (key, f, g) of the last grad
 
     @property
     def dim(self) -> int:
@@ -195,20 +186,6 @@ class _LinearModel:
         supp, cols = self._kept_columns(x.nonzero()[0])
         return cols @ x[supp], supp, cols
 
-    def _value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        """f and a new array holding g at ``x``, from the memo at an equal key."""
-        x = as_vector(x, self.dim)
-        supp = x.nonzero()[0]
-        x_supp = x[supp]
-        # both halves take 8 bytes per entry of S, so equal keys have equal halves
-        key = supp.tobytes() + x_supp.tobytes()
-        if self._memo is None or self._memo[0] != key:
-            supp, cols = self._kept_columns(supp)
-            f, v = self._loss_and_dloss(cols @ x_supp)
-            self._memo = (key, f, self._gradient(v, supp, cols))
-        _, f, g = self._memo
-        return f, g.copy()
-
     def _loss(self, p: np.ndarray) -> float:
         return self._loss_and_dloss(p)[0]
 
@@ -216,10 +193,12 @@ class _LinearModel:
         return self._loss(self._evaluate(as_vector(x, self.dim))[0])
 
     def grad(self, x) -> np.ndarray:
-        return self._value_and_grad(x)[1]
+        return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x) -> tuple[float, np.ndarray]:
-        return self._value_and_grad(x)
+        p, supp, cols = self._evaluate(as_vector(x, self.dim))
+        f, v = self._loss_and_dloss(p)
+        return f, self._gradient(v, supp, cols)
 
 
 class LeastSquares(_LinearModel):

@@ -33,14 +33,16 @@ linear models it evaluates every point it forms (a trial, the two
 support-change points, an accepted swap) from the columns on the point's
 support, which the projection gives with its values (the swap and the
 support change return only the point, and one scan finds its support).  It
-keeps the loss derivative of the point, forms the gradient at the accepted
-point from it with one dense ``A.T @ v``, and puts that gradient in the
-model's memo for the ``grad`` calls of the swap and the support change.
-Its trial and support-change steps are checked finite once, then projected
-by the unchecked ``_project_sparse``.  Any other objective sees the calls of
-the public path: ``project_sparse`` for each projection, one ``value`` per
-point and one ``grad`` per iterate, so a traced run's spans still time every
-projection and evaluation.
+keeps the loss derivative of the point and forms the gradient at the
+accepted point from it with one dense ``A.T @ v``.  The swap and the support
+change take the support, that gradient and, for the swap, the f that NPG
+holds as arguments, so neither evaluates the point it starts from.  Its
+trial and support-change steps are checked finite once, then projected by
+the unchecked ``_project_sparse``.  Any other objective sees the calls of
+the public path: ``project_sparse`` for each projection, the public
+``coordinate_swap`` and ``change_support``, which ask it for g and f again,
+one ``value`` per point and one ``grad`` per iterate, so a traced run's
+spans still time every projection, move and evaluation.
 
 A trace stores its per-iteration values as columns, one growable
 ``array.array`` each: the objective value, the stepsize (NaN for None), the
@@ -72,7 +74,7 @@ from .stationarity import (
     default_grid,
     minimize_support_gap,
 )
-from .subroutines import change_support, coordinate_swap
+from .subroutines import _change_support, _coordinate_swap, change_support, coordinate_swap
 
 __all__ = [
     "SolverConfig",
@@ -391,9 +393,9 @@ class _DenseSteps:
 
     PG takes one ``value_and_grad`` per iterate in ``evaluate``, which keeps
     the support of the point, by one n-wide scan.  NPG projects with
-    ``project_sparse`` and takes one ``value`` per point it forms and one
-    ``grad`` per iterate; ``shared_gradient`` gives None, since the objective
-    forms the gradient that a move asks it for.
+    ``project_sparse``, takes one ``value`` per point it forms and one
+    ``grad`` per iterate, and moves with the public ``coordinate_swap`` and
+    ``change_support``, which ask the objective for the gradient again.
     """
 
     screened = 0
@@ -421,11 +423,17 @@ class _DenseSteps:
     def value(self, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray) -> float:
         return self.obj.value(x)
 
-    def shared_gradient(self) -> None:
-        return None
-
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         return self.obj.grad(x)
+
+    def swap(self, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray, g: np.ndarray,
+             fx: float) -> np.ndarray:
+        return coordinate_swap(self.obj, set_, x)
+
+    def support_change(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
+                       t: float) -> tuple[np.ndarray, None]:
+        """The support-changed point, and None: the gradient at ``x`` stays with the objective."""
+        return change_support(self.obj, set_, s, x, t), None
 
 
 class _ScreenedSteps:
@@ -442,8 +450,9 @@ class _ScreenedSteps:
     the peak RSS of a one-pass pg-logistic benchmark run (32 objectives) by
     4 MB, against 0.4 MB when computed per solve.  NPG projects with the
     unchecked ``_project_sparse``, evaluates each point it forms with
-    ``value`` and takes the gradient at the point last valued from
-    ``shared_gradient``.
+    ``value``, takes the gradient at the point last valued from
+    ``gradient_at``, and hands the support, g and f it holds to the private
+    swap and support change.
     """
 
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
@@ -521,29 +530,27 @@ class _ScreenedSteps:
     def value(self, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray) -> float:
         """f at ``x``, which holds ``x_supp`` on its support ``supp``, from the columns on supp.
 
-        Keeps the support, the values, the columns, f and ``v`` of the point,
-        for a gradient there.
+        Keeps the support, the columns and ``v`` of the point, for a gradient
+        there.
         """
         self.supp, self.cols = self.model._kept_columns(supp)
-        self.x_supp = x_supp
-        self.f, self.v = self.model._loss_and_dloss(self.cols @ x_supp)
-        return self.f
-
-    def shared_gradient(self) -> np.ndarray:
-        """g at the point last valued, from its ``v``, kept in the model's gradient memo.
-
-        The model's ``grad`` at that point then returns it with no product; at
-        the key the memo already holds, the kept g serves.
-        """
-        model = self.model
-        key = self.supp.tobytes() + self.x_supp.tobytes()
-        if model._memo is None or model._memo[0] != key:
-            model._memo = (key, self.f, model._gradient(self.v, self.supp, self.cols))
-        return model._memo[2]
+        f, self.v = self.model._loss_and_dloss(self.cols @ x_supp)
+        return f
 
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
-        """g at ``x``, the point last valued."""
-        return self.shared_gradient()
+        """g at ``x``, the point last valued, from its ``v``."""
+        return self.model._gradient(self.v, self.supp, self.cols)
+
+    def swap(self, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray, g: np.ndarray,
+             fx: float) -> np.ndarray:
+        """The swap at ``x``, given its support ``supp``, g and f there."""
+        return _coordinate_swap(self.model, set_, x, supp, g, fx)
+
+    def support_change(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
+                       t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The support-changed point from ``x``, the point last valued, and g at ``x``."""
+        g = self.gradient_at(x)
+        return _change_support(set_, x, supp, g, t), g
 
 
 def pg_solve(
@@ -650,10 +657,9 @@ def npg_solve(
     the same consecutive-objective criterion as ``pg_solve``.  On the
     package's objectives each point is evaluated from the support its
     projection or move gave, and the gradient at each accepted point is
-    formed once, from that point's loss derivative; the swap and the support
-    change, which ask again for a gradient NPG has just formed, get it from
-    the gradient memo with no dense product, and so may the certificate (see
-    the module docstring).  A non-finite objective value, or a non-finite
+    formed once, from that point's loss derivative, and the swap and the
+    support change take it, and the swap the f that NPG holds, as arguments
+    (see the module docstring).  A non-finite objective value, or a non-finite
     gradient step, raises ``FloatingPointError`` naming the iteration and the
     phase (``initial``, ``swap``, ``support change`` or ``trial``), and a trial
     that needs more than ``max_backtracks`` shrinks raises ``RuntimeError``.
@@ -672,18 +678,18 @@ def npg_solve(
     f_initial, g = obj.value_and_grad(x)
     f_hist = [_finite(f_initial, 0, "initial")]
     x_prev = g_prev = None
-    moving = np.count_nonzero(x) > 0
+    supp_x = x.nonzero()[0]
     for k in range(config.max_iter):
         # g_new: the gradient at x_new, when a move has formed it already
         x_new = g_new = None
-        if k % config.N == 0 and moving:
-            y = coordinate_swap(obj, set_, x)
+        if k % config.N == 0 and supp_x.size:
+            y = steps.swap(set_, x, supp_x, g, f_hist[-1])
             if not np.array_equal(y, x):
                 supp_y = y.nonzero()[0]
                 f_y = _finite(steps.value(y, supp_y, y[supp_y]), k, "swap")
                 x_new = y
                 columns.append("swap", f_y, None, supp_y, _dist_sq(y, x), set_._constraint_gaps(y))
-        elif k % config.N == config.q and moving:
+        elif k % config.N == config.q and supp_x.size:
             gap = minimize_support_gap(set_, x, g, config.tbar)
             if gap.value <= config.eta:
                 beta = gap.step
@@ -693,8 +699,7 @@ def npg_solve(
                 f_xt = _finite(steps.value(xt, supp_t, xt_supp), k, "support change")
                 g_t = None
                 if supp_t.size:
-                    g_t = steps.shared_gradient()  # change_support asks for it
-                    xh = change_support(obj, set_, s, xt, beta)
+                    xh, g_t = steps.support_change(set_, s, xt, supp_t, beta)
                     supp_h = xh.nonzero()[0]
                     f_xh = _finite(steps.value(xh, supp_h, xh[supp_h]), k, "support change")
                     dist_sq = _dist_sq(xh, xt)
@@ -739,7 +744,7 @@ def npg_solve(
 
         f_hist.append(columns.f_value[-1])
         x_prev, g_prev, x = x, g, x_new
-        moving = columns.supports[-1][1].size > 0  # the support of x, just recorded
+        supp_x = columns.supports[-1][1]  # the support of x, just recorded
         done = abs(f_hist[-1] - f_hist[-2]) <= config.f_tol
         if done:
             break

@@ -3,7 +3,9 @@
 Both moves keep the point inside the sparse symmetric feasible set: swapping
 transplants a single coordinate value (a coordinate permutation, plus a sign
 flip for sign-free sets), and the support change rebuilds the point by
-sub-projecting a gradient step on the edited support.
+sub-projecting a gradient step on the edited support.  Each public move checks
+its input, asks the objective for the gradient (and the swap for f) at the
+point, and calls its private form, which takes them as arguments.
 """
 
 from __future__ import annotations
@@ -53,8 +55,16 @@ def coordinate_swap(obj, set_: SymmetricSet, x) -> np.ndarray:
     """
     x = as_vector(x)
     supp = _proper_support(x)
-    candidates = _swap_candidates(set_, x, obj.grad(x), supp)
-    fx = obj.value(x)
+    return _coordinate_swap(obj, set_, x, supp, obj.grad(x), obj.value(x))
+
+
+def _coordinate_swap(obj, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray,
+                     grad: np.ndarray, fx: float) -> np.ndarray:
+    """:func:`coordinate_swap` at ``x``, given its support, its gradient and f(x).
+
+    Values only the swapped points.
+    """
+    candidates = _swap_candidates(set_, x, grad, supp)
     f = [obj.value(y) for y in candidates]
     if fx > min(f):
         return candidates[0] if f[0] <= f[-1] else candidates[-1]
@@ -76,7 +86,13 @@ def change_support(obj, set_: SymmetricSet, s: int, x, t: float) -> np.ndarray:
     supp = _proper_support(x)
     if supp.size > s:
         raise ValueError(f"input has {supp.size} nonzeros, exceeds sparsity level {s}")
-    a = x - t * obj.grad(x)
+    return _change_support(set_, x, supp, obj.grad(x), t)
+
+
+def _change_support(set_: SymmetricSet, x: np.ndarray, supp: np.ndarray,
+                    grad: np.ndarray, t: float) -> np.ndarray:
+    """:func:`change_support` at ``x``, given its support and its gradient."""
+    a = x - t * grad
     ranked = set_.ranking_values(a)
 
     on_vals = ranked[supp]

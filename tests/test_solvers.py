@@ -530,19 +530,12 @@ def canonical(trace) -> str:
 
 
 def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
-    # the same solve through the public protocol asks for a gradient at each
-    # accepted point, and again in swaps, support changes and the certificate;
-    # the linear model forms one product per run of equal points, and a swap
-    # or support change that asks again for the point just served costs none;
-    # on the logistic instance the last support-change point equals the
-    # iterate, whose gradient the memo already holds
-    points = []
-    for name in ("grad", "value_and_grad"):
-        def recorded(proxy, x, method=getattr(PublicProtocol, name)):
-            points.append(np.array(x, dtype=float))
-            return method(proxy, x)
-
-        monkeypatch.setattr(PublicProtocol, name, recorded)
+    # NPG forms the gradient at the start, after every iteration but the last
+    # and at each support-change point, where an accepted one serves as the
+    # next iterate's; the certificate forms one more, and a swap none
+    changes = []
+    change = solvers._change_support
+    monkeypatch.setattr(solvers, "_change_support", lambda *a: changes.append(1) or change(*a))
     cases = [
         (gen_cs_instance(24, 80, 4, 0.1, make_rng(100)),
          {"swap", "support_change_accept_hx", "support_change_accept_tx"}),
@@ -551,16 +544,42 @@ def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
     for inst, moves in cases:
         obj = inst.objective
         config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
-        before = len(products)
+        products.clear()
+        changes.clear()
         trace = npg_solve(obj, inst.set_, inst.s, inst.x0, config)
-        formed = len(products) - before
-        points.clear()
+        records = trace.records
+        assert moves <= {r.step_kind for r in records}
+        served = sum(
+            r.step_kind == "support_change_accept_tx" and r.support.size > 0 for r in records[:-1]
+        )
+        assert len(products) == 1 + (trace.iterations - 1) + len(changes) - served + 1
         public = npg_solve(PublicProtocol(obj), inst.set_, inst.s, inst.x0, config)
-        assert moves <= {r.step_kind for r in trace.records}
-        repeats = sum(np.array_equal(a, b) for a, b in zip(points, points[1:]))
-        assert repeats > 0
-        assert formed == len(points) - repeats
         assert canonical(trace) == canonical(public)
+
+
+def test_npg_private_path_swap_values_only_its_candidates(products, monkeypatch):
+    # NPG hands the swap f and g at x, so it values the one or two swapped
+    # points alone and forms no product
+    values = []
+    value = _LinearModel.value
+    monkeypatch.setattr(_LinearModel, "value", lambda model, x: values.append(x) or value(model, x))
+    calls = []
+    swap = solvers._coordinate_swap
+
+    def counted(obj, set_, x, supp, g, fx):
+        values.clear()
+        products.clear()
+        y = swap(obj, set_, x, supp, g, fx)
+        calls.append((len(values), len(products), 1 if set_.kind == "nonnegative" else 2))
+        return y
+
+    monkeypatch.setattr(solvers, "_coordinate_swap", counted)
+    for inst in (gen_cs_instance(24, 80, 4, 0.1, make_rng(100)),
+                 gen_instance("simplex-least-squares", 24, 80, 3, s=4)):
+        obj = inst.objective
+        npg_solve(obj, inst.set_, inst.s, inst.x0, benchmark_config(obj.lipschitz, M=4, N=5, q=3))
+    assert {candidates for _, _, candidates in calls} == {1, 2}
+    assert all(v == candidates and p == 0 for v, p, candidates in calls)
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,7 +655,7 @@ def test_npg_fails_fast_on_a_non_finite_trial_step():
 def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
     # a gradient formed before a solve, or left by the last one, is not served
     # inside it: identical solves form equally many products, and each solve
-    # ends with the memo empty and no array of its evaluations kept
+    # ends with no array of its evaluations kept
     inst = gen_cs_instance(24, 80, 4, 0.1, make_rng(100))
     obj = inst.objective
     config = benchmark_config(obj.lipschitz, M=4, N=5, q=3)
@@ -658,7 +677,6 @@ def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
             products.clear()
             solve()
             counts.append(len(products))
-            assert model._memo is None
             # no point, loss derivative or support columns of the solve's
             # evaluations stay on the model
             kept = [

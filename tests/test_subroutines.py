@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sparsepg import (
     DegenerateSupportError,
     LeastSquares,
+    Logistic,
     catalog,
     change_support,
     coordinate_swap,
@@ -13,6 +15,7 @@ from sparsepg import (
     project_sparse,
     support_of,
 )
+from sparsepg.subroutines import _change_support, _coordinate_swap
 
 ALL_SETS = catalog()
 
@@ -134,3 +137,26 @@ def test_change_support_degenerate_inputs():
         change_support(obj, full_space(), 1, np.array([1.0, 0.0]), -1.0)
     with pytest.raises(ValueError, match="2 nonzeros, exceeds sparsity level 1"):
         change_support(quadratic([1.0, 1.0, 1.0]), full_space(), 1, np.array([1.0, 1.0, 0.0]), 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_SETS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_private_moves_give_the_public_bits(set_, logistic, seed):
+    # small-integer data, so that ranking values tie often
+    rng = make_rng(seed)
+    n = int(rng.integers(3, 12))
+    s, m = int(rng.integers(1, n)), int(rng.integers(2, 8))
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    if logistic:
+        obj = Logistic(a, rng.choice([-1.0, 1.0], size=m))
+    else:
+        obj = LeastSquares(a, rng.integers(-3, 4, size=m).astype(float))
+    x = project_sparse(set_, s, rng.integers(-3, 4, size=n).astype(float)).point
+    supp = support_of(x)
+    assume(0 < supp.size < n)
+    t = float(rng.uniform(0.0, 1.5))
+    g, fx = obj.grad(x), obj.value(x)
+    swapped = _coordinate_swap(obj, set_, x, supp, g, fx)
+    assert swapped.tobytes() == coordinate_swap(obj, set_, x).tobytes()
+    changed = _change_support(set_, x, supp, g, t)
+    assert changed.tobytes() == change_support(obj, set_, s, x, t).tobytes()
