@@ -244,9 +244,11 @@ def threshold_cases(draw):
         # entries r below the largest sit on the boundary of the threshold test,
         # where rounding can fail it at one prefix length and pass it at the next
         x[1 : draw(st.integers(1, n))] = x.max() - r
-    elif shape == "set boundary" and abs(x).sum() > 0:
+    elif shape == "set boundary" and abs(x).sum() > r / np.finfo(float).max:
         # |x| sums to r up to rounding, where the feasibility tests of the
-        # simplex and the l1 balls decide by the last bits of the sum
+        # simplex and the l1 balls decide by the last bits of the sum; a sum
+        # too small for r / sum to be finite (subnormal entries at scale
+        # 1e-8) cannot be rescaled and stays as drawn
         x = (abs(x) if draw(st.booleans()) else x) * (r / abs(x).sum())
     return x, r
 
