@@ -93,6 +93,7 @@ def _cmd_solve(args) -> int:
     print(
         f"{args.method}: f={trace.f_final:.6g} iterations={trace.iterations} "
         f"cardinality={support_of(trace.x_final).size} time_s={trace.wall_time_seconds:.3f} "
+        f"certificate_s={trace.certificate_seconds:.3f} "
         f"strong_stationary={trace.certificate.strong} "
         f"stop_reason={trace.stop_reason} screened_steps={trace.screened_steps} "
         f"moves={'/'.join(map(str, columns.move_counts()))} backtracks={sum(columns.backtracks)}"

@@ -272,7 +272,9 @@ class IterateTrace(_Record):
     when the last iteration met the ``f_tol`` test and ``"max_iter"`` when the
     iteration cap ended the run.  ``screened_steps`` counts the PG steps that
     skipped the dense gradient; it is 0 for NPG and for objectives other than
-    the package's linear models.
+    the package's linear models.  ``certificate_seconds`` is the time the
+    certificate took, after ``wall_time_seconds`` was read; None when the
+    solve was not certified.
     """
 
     _columns: _Columns = field(repr=False)
@@ -284,6 +286,7 @@ class IterateTrace(_Record):
     certificate: StationarityReport | None = None
     stop_reason: str = "max_iter"
     screened_steps: int = 0
+    certificate_seconds: float | None = None
 
     @property
     def records(self) -> list[IterationRecord]:
@@ -354,13 +357,16 @@ def _finish(
     columns: _Columns, converged: bool, start: float, certify: bool,
     grid: np.ndarray, certify_tol: float, screened_steps: int = 0,
 ) -> IterateTrace:
-    """The trace of a solve: the wall time since ``start``, then the certificate of ``x``."""
-    wall = time.perf_counter() - start
-    certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol) if certify else None
+    """The trace of a solve: the wall time since ``start``, then the certificate of ``x``, timed."""
+    solved = time.perf_counter()
+    certificate = seconds = None
+    if certify:
+        certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
+        seconds = time.perf_counter() - solved
     _forget(obj)
     return IterateTrace(
-        columns, f_initial, x, columns.f_value[-1], len(columns), wall, certificate,
-        "converged" if converged else "max_iter", screened_steps,
+        columns, f_initial, x, columns.f_value[-1], len(columns), solved - start, certificate,
+        "converged" if converged else "max_iter", screened_steps, seconds,
     )
 
 

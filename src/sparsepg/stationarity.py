@@ -9,15 +9,23 @@ support gap of a gradient step, smallest on-support minus largest off-support
 ranking value, has one closed form for both set kinds, minimized in O(|S|)
 evaluations.
 
-The grid check steps on the support when it can.  At a point x with s
+The grid check walks the support when it can.  At a point x with s
 nonzeros on S, the entries of ``x - t*g`` off S are exactly ``-fl(t*g_j)``,
 and rounding is monotone and sign-symmetric, so their largest ranking value
 is exactly ``t*alpha``, alpha the largest off-support ranking value of
-``-g``.  A step whose every ranking value on S beats ``t*alpha`` has S as
-its strict top-s support, and its projection, distance to x and uniqueness
-test follow from the s entries on S with the bits of the n-wide step; a tie,
-an entry that is not finite or a point with fewer than s nonzeros takes the
-n-wide projection.  Only the linear models take this path: any other
+``-g``.  Every grid step's entries on S are formed in one pass, as one
+k-by-s array.  A row whose every ranking value beats ``t*alpha`` has S as
+its strict top-s support, and its projection and uniqueness test follow
+from its s entries with the bits of the n-wide step.  Off S both ``general``
+sums add the same computed terms ``fl(fl(t*g_j)^2)``, so they differ only on
+S, and the classical bound on floating-point sums (each within gamma_{n-1}
+of its exact value; Higham 2002, section 4.2) decides ``general`` from S
+wherever the difference lies outside a band around ``tol``; one n-wide
+``g_off . g_off`` bounds the part off S.  A moving step still sums its
+distance to x over the n-vector, which the bits of ``worst_violation``
+need.  A step inside the band, a tie, an entry that is not finite or a
+point with fewer than s nonzeros takes the n-wide code, at its place in the
+descending walk.  Only the linear models take this path: any other
 objective sees one ``project_sparse`` per grid step, the calls that a
 wrapper counting or timing them expects.
 """
@@ -32,7 +40,7 @@ import numpy as np
 from .core import _complement, _norm, _proper_support, _Record, _scatter, as_vector, support_of
 from .objectives import _LinearModel
 from .projection import _certified_unique, _check_sparsity_level, _top_support, project_sparse
-from .sets import _SCALAR_MAX, SymmetricSet, _finite_least
+from .sets import _SCALAR_MAX, SymmetricSet
 from .subroutines import _swap_candidates
 
 __all__ = [
@@ -225,28 +233,30 @@ def check_strong_stationary(
     at x finds the witness.
 
     On a linear model, a point with s nonzeros on S takes f and g from one
-    ``value_and_grad`` and steps on S.  Off S a step's largest ranking value
-    is exactly ``t*alpha`` (the module docstring says why), so a step whose
+    ``value_and_grad`` and forms every step on S in one pass, as one k-by-s
+    array (:class:`_SupportGrid`).  Off S a step's largest ranking value is
+    exactly ``t*alpha`` (the module docstring says why), so a step whose
     ranking values on S all beat it has S as its top-s support with no tie,
-    and :func:`_screened_step` decides it from the s entries on S with no
-    n-wide selection; it builds the projected n-vector alone.  A step that
-    moves still forms its distance to x, the ``general`` sums and the
-    witness's value over the n-vector.  A tie, an entry that is not finite
-    and a point with fewer than s nonzeros take the n-wide step, which
-    raises the same error at the same step.  Any other objective takes the
-    n-wide step throughout, through one ``grad``, one ``value`` and one
+    and is projected and certified from its row alone.  A step that moves
+    still sums its distance to x over the n-vector, in one reused buffer,
+    and decides ``general`` from S wherever the rounding band of the two
+    n-wide sums lies clear of ``tol``; the projected n-vector is built only
+    while the witness is sought or inside that band, where the n-wide sums
+    decide.  A tie, an entry that is not finite and a point with fewer than
+    s nonzeros take the n-wide step at its place in the walk, which raises
+    the same error at the same step.  Any other objective takes the n-wide
+    step throughout, through one ``grad``, one ``value`` and one
     ``project_sparse`` per grid step, so that a wrapper counting or timing
     its calls sees each of them.
     """
     x = as_vector(x)
     _require_feasible(set_, s, x, tol)
+    ts = np.sort(_grid_steps(t_grid))[::-1]
     supp = x.nonzero()[0]
-    screen = isinstance(obj, _LinearModel) and supp.size == s
-    if screen:
+    grid = None
+    if isinstance(obj, _LinearModel) and supp.size == s:
         fx, grad = obj.value_and_grad(x)
-        x_supp, g_supp = x[supp], grad[supp]
-        alpha = _off_support_slope(set_, grad, supp)
-        g_max = float(np.delete(np.abs(grad), supp).max())
+        grid = _SupportGrid(set_, s, x, supp, grad, ts, tol)
     else:
         grad = obj.grad(x)
         fx = obj.value(x)
@@ -254,27 +264,33 @@ def check_strong_stationary(
     strong = True
     worst = 0.0
     witness = None
-    for t in np.sort(_grid_steps(t_grid))[::-1].tolist():
-        a = step = None
-        if screen:
-            step = _screened_step(set_, s, x, supp, x_supp, g_supp, t, alpha, g_max, tol)
+    for i, t in enumerate(ts.tolist()):
+        step = None if grid is None else grid.step(i, t)
         if step is None:
             a = x - t * grad
             proj = project_sparse(set_, s, a)
-            move = _norm(proj.point - x)
-            step = proj.point, move, move <= tol and _certified_unique(set_, s, a, proj)
-        point, move, certified = step
+            point = proj.point
+            move = _norm(point - x)
+            certified = move <= tol and _certified_unique(set_, s, a, proj)
+        else:
+            values, move, certified = step
+            a = point = None
         worst = max(worst, move)
         if move <= tol:
             strong = strong and certified
             continue
         strong = False
         if general:
-            a = x - t * grad if a is None else a
-            if float(((x - a) ** 2).sum()) > float(((point - a) ** 2).sum()) + tol:
-                general = False
-        if witness is None and obj.value(point) < fx:
-            witness = point
+            holds = None if step is None else grid.general(i, values)
+            if holds is None:
+                point = _scatter(x.size, supp, values) if point is None else point
+                a = x - t * grad if a is None else a
+                holds = not float(((x - a) ** 2).sum()) > float(((point - a) ** 2).sum()) + tol
+            general = holds
+        if witness is None:
+            point = _scatter(x.size, supp, values) if point is None else point
+            if obj.value(point) < fx:
+                witness = point
     return StationarityReport(
         general=general,
         strong=strong,
@@ -284,34 +300,114 @@ def check_strong_stationary(
     )
 
 
-def _screened_step(
-    set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray, x_supp: np.ndarray,
-    g_supp: np.ndarray, t: float, alpha: float, g_max: float, tol: float,
-) -> tuple[np.ndarray, float, bool] | None:
-    """The projection of ``x - t*g``, its distance to x and its certificate, from S alone.
+# the unit roundoff of float64, and its smallest subnormal, which bounds the
+# absolute error of an operation that underflows
+_UNIT = 2.0**-53
+_TINY = 2.0**-1074
 
-    ``x`` holds ``x_supp`` on its s nonzeros S; ``alpha`` is the largest
-    off-support ranking value of ``-g`` and ``g_max`` the largest ``|g_j|``
-    off S, so ``t*alpha`` and ``t*g_max`` are exactly the step's largest
-    ranking value and absolute entry off S.  The certificate is the test of
-    :func:`certify_unique`, run only when the step stays within ``tol``.
-    None, for the n-wide step, on a tie or an entry that is not finite.
+# the catalog sets whose projection acts entry by entry, so one call projects every row
+_ENTRYWISE = ("full", "nonneg")
+
+
+class _SupportGrid:
+    """Every grid step of a point with s nonzeros on S, formed on S in one pass.
+
+    Row i of ``a`` is ``x_S - t_i*g_S`` for the i-th step of the descending
+    grid ``ts``, with the bits of the n-wide step on S.  ``alpha`` is the
+    largest off-support ranking value of ``-g`` and ``g_max`` the largest
+    ``|g_j|`` off S, so ``t*alpha`` and ``t*g_max`` are exactly the step's
+    largest ranking value and absolute entry off S.  The screen, the bounds
+    and the sums on S are taken for all rows at once with floating-point
+    warnings off: a row they cannot decide (an entry that is not finite, a
+    sum that overflows) goes to the n-wide code, which warns or raises as
+    it always did.  The entrywise sets project every row at once; the others
+    project a row when the walk reaches it.
     """
-    a_supp = x_supp - t * g_supp
-    lo = _finite_least(set_.ranking_values(a_supp))
-    off = t * alpha
-    # lo is NaN unless every entry on S is finite; t*g_max bounds those off S
-    if not (lo > off and math.isfinite(t * g_max)):
+
+    def __init__(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
+                 grad: np.ndarray, ts: np.ndarray, tol: float):
+        n = x.size
+        self.set_, self.s, self.supp, self.tol = set_, s, supp, tol
+        self.x_supp = x[supp]
+        self.x_bytes = self.x_supp.tobytes()
+        rest = np.delete(grad, supp)
+        alpha = _off_support_slope(set_, grad, supp)
+        self.g_max = g_max = float(abs(rest).max())
+        # the n-wide sums each lie within gamma_{n-1} of their exact values
+        # (Higham 2002, section 4.2); the band below is 8 gamma_{n+2} wide,
+        # which also covers the sums on S, the bound on the sum off S and
+        # the rounding of the test itself
+        gamma = (n + 2) * _UNIT / (1.0 - (n + 2) * _UNIT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.a = a = self.x_supp - ts[:, None] * grad[supp]
+            ranked = set_.ranking_values(a)
+            lo = ranked.min(axis=1)
+            off = ts * alpha
+            self.screened = (np.isfinite(a).all(axis=1) & (lo > off)
+                             & np.isfinite(ts * g_max)).tolist()
+            self.lo, self.off = lo.tolist(), off.tolist()
+            self.a_max = abs(a).max(axis=1).tolist()
+            # off S both n-wide sums hold the same terms fl(fl(t*g_j)^2), at
+            # most (1 + u)^3 t^2 g_j^2 each, plus a few smallest subnormals
+            # where a product underflows; one product g_off . g_off bounds
+            # their sum for every row
+            g_off = float(rest.dot(rest))
+            w_hi = ts * ts * (g_off + n * _TINY) * (1.0 + 8.0 * gamma) + 4 * n * _TINY
+            d = self.x_supp - a
+            self.u = (d * d).sum(axis=1).tolist()
+            self.p = self.v = None
+            if set_.variant in _ENTRYWISE:
+                self.p = set_._project(a)
+                d = self.p - a
+                self.v = (d * d).sum(axis=1).tolist()
+        self.scale, self.slack = 8.0 * gamma, (2.0 * w_hi + tol).tolist()
+        self.diff = np.zeros(n)
+
+    def step(self, i: int, t: float) -> tuple[np.ndarray, float, bool] | None:
+        """Row i's projected values on S, its distance to x and its certificate.
+
+        None, for the n-wide step, on a tie or an entry that is not finite.
+        The certificate is the test of :func:`certify_unique`, run only when
+        the step stays within ``tol``.
+        """
+        if not self.screened[i]:
+            return None
+        values = self.set_._project(self.a[i]) if self.p is None else self.p[i]
+        # equal values move by an exact 0; ddot groups its terms by position,
+        # so any other move is summed over the n-vector
+        if values.tobytes() == self.x_bytes:
+            move = 0.0
+        else:
+            self.diff[self.supp] = values - self.x_supp
+            move = _norm(self.diff)
+        if move > self.tol:
+            return values, move, False
+        margin = 1e-10 * (1.0 + max(self.a_max[i], t * self.g_max))
+        certified = np.count_nonzero(values) < self.s or self.lo[i] > self.off[i] + margin
+        return values, move, bool(certified)
+
+    def general(self, i: int, values: np.ndarray) -> bool | None:
+        """The ``general`` test of a moving row, decided from S, or None inside its band.
+
+        The n-wide test compares ``X = sum (x - a)^2`` with ``P = sum (p -
+        a)^2 + tol``.  Off S, x and p vanish, so both sums add the same terms
+        there, and ``X - P`` is ``U - V`` on S up to the rounding of the two
+        n-wide sums.  Where ``U - V`` lies farther from ``tol`` than the
+        band, the n-wide comparison must say the same.
+        """
+        if self.v is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = values - self.a[i]
+                v = float(d.dot(d))
+        else:
+            v = self.v[i]
+        u = self.u[i]
+        band = self.scale * (u + v + self.slack[i])
+        if u - v > self.tol + band:
+            return False
+        if u - v < self.tol - band:
+            return True
         return None
-    values = set_._project(a_supp)
-    point = _scatter(x.size, supp, values)
-    # equal values move by an exact 0; ddot groups its terms by position, so
-    # any other move is summed over the n-vector
-    move = 0.0 if values.tobytes() == x_supp.tobytes() else _norm(point - x)
-    if move > tol:
-        return point, move, False
-    margin = 1e-10 * (1.0 + max(float(abs(a_supp).max()), t * g_max))
-    return point, move, bool(np.count_nonzero(values) < s or lo > off + margin)
 
 
 def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:

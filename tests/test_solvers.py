@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,7 @@ def test_trace_serializes_to_json():
     assert list(back) == [
         "records", "f_initial", "x_final", "f_final", "iterations",
         "wall_time_seconds", "certificate", "stop_reason", "screened_steps",
+        "certificate_seconds",
     ]
     assert list(back["records"][0]) == [
         "k", "step_kind", "f_value", "stepsize", "support", "backtracks", "move_sq",
@@ -329,6 +331,32 @@ def test_trace_serializes_to_json():
         "projected_gradient",
     }
     assert back["certificate"]["strong"] is True
+
+
+@pytest.mark.parametrize("method", ["pg", "npg"])
+def test_certificate_seconds_times_the_certificate_after_the_wall_time(method, monkeypatch):
+    # a certificate that sleeps 0.2 s shows in certificate_seconds and not in
+    # wall_time_seconds; an uncertified solve has none
+    certify = solvers.check_strong_stationary
+
+    def slow(*args):
+        time.sleep(0.2)
+        return certify(*args)
+
+    monkeypatch.setattr(solvers, "check_strong_stationary", slow)
+    obj = quadratic([3.0, 1.0])
+    x0 = np.array([0.0, 1.0])
+
+    def solve(certify):
+        if method == "pg":
+            return pg_solve(obj, full_space(), 1, x0, 0.5, certify=certify)
+        return npg_solve(obj, full_space(), 1, x0, small_config(obj.lipschitz), certify=certify)
+
+    trace = solve(True)
+    assert trace.certificate is not None
+    assert trace.certificate_seconds >= 0.2 > trace.wall_time_seconds
+    trace = solve(False)
+    assert trace.certificate is trace.certificate_seconds is None
 
 
 @pytest.mark.parametrize("method", ["pg", "npg"])
@@ -351,6 +379,7 @@ def test_trace_columns_serialize_as_the_records_view_and_match_a_replay(family, 
         "certificate": trace.certificate.to_dict(),
         "stop_reason": trace.stop_reason,
         "screened_steps": trace.screened_steps,
+        "certificate_seconds": trace.certificate_seconds,
     }
     assert list(trace.to_dict().items()) == list(expected.items())
     for r in records:  # the columns' NaN reads back as None, only where None was stored
@@ -523,9 +552,9 @@ def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
 
 
 def canonical(trace) -> str:
-    """``trace.to_dict()`` without its wall time, as JSON, which keeps the sign of a zero."""
+    """``trace.to_dict()`` without its times, as JSON, which keeps the sign of a zero."""
     fields = trace.to_dict()
-    del fields["wall_time_seconds"]
+    del fields["wall_time_seconds"], fields["certificate_seconds"]
     return json.dumps(fields, sort_keys=True)
 
 

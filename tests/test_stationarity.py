@@ -296,6 +296,9 @@ def assert_matches_certified_grid(obj, set_, s, x, grid):
 @example(nonneg_orthant(), 6, 728916, True, True, False, 2.0)
 # an uncertified step stays at x, and a later step moves
 @example(l1_ball(), 7, 527229, True, True, False, 2.0)
+# the largest step switches the support and projects n-wide, above steps on
+# the support that move: the witness is the n-wide step's point
+@example(full_space(), 2, 0, False, False, False, 1.0)
 def test_strong_check_matches_the_certified_grid_reference(
     set_, n, seed, ties, from_center, short, t_max
 ):
@@ -591,6 +594,56 @@ def test_screened_certificate_falls_back_at_a_tied_step_only(wide_projections):
     assert report.worst_violation == math.sqrt(2.0)
     public = check_strong_stationary(PublicProtocol(obj), full_space(), 1, x, grid, 1e-6)
     assert_same_report(report, public)
+
+
+@pytest.mark.parametrize("set_", ALL_SETS, ids=str)
+@pytest.mark.parametrize("model", [LeastSquares, Logistic])
+def test_screened_certificate_decides_general_on_the_support_clear_of_its_band(
+    set_, model, monkeypatch
+):
+    # one small step on S that moves x; tol is set to the difference U - V of
+    # the general sums on S, where the n-wide sums must decide, and 4 bands
+    # below and above it, where S alone decides; the band is 8 gamma_{n+2}
+    # (U + V + 2 t^2 |g_off|^2 + tol), gamma_k = k u / (1 - k u)
+    verdicts = []
+    general = stationarity._SupportGrid.general
+
+    def recorded(self, i, values):
+        verdicts.append(general(self, i, values))
+        return verdicts[-1]
+
+    monkeypatch.setattr(stationarity._SupportGrid, "general", recorded)
+    rng = make_rng(41)
+    m, n, s = 12, 24, 4
+    targets = rng.choice([-1.0, 1.0], m) if model is Logistic else rng.standard_normal(m)
+    obj = model(rng.standard_normal((m, n)), targets)
+    for _ in range(5):
+        start = np.zeros(n)
+        signs = 1.0 if set_.kind == "nonnegative" else rng.choice([-1.0, 1.0], s)
+        start[rng.choice(n, s, replace=False)] = signs * rng.uniform(1.0, 1.2, s)
+        x = project_sparse(set_, s, start).point
+        assert np.count_nonzero(x) == s
+        g = obj.grad(x)
+        t = 0.01 * default_stepsize(obj.lipschitz)
+        a = x - t * g
+        supp = x.nonzero()[0]
+        p = project_sparse(set_, s, a).point
+        assert np.array_equal(project_sparse(set_, s, a).chosen_support, supp)
+        u = float(np.sum((x - a)[supp] ** 2))
+        v = float(np.sum((p - a)[supp] ** 2))
+        g_off = np.delete(g, supp)
+        gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+        band = 8 * gamma * (u + v + 2 * t * t * float(g_off @ g_off) + (u - v))
+        assert 0 < 4 * band < u - v < np.linalg.norm(p - x)
+        for tol, verdict in [(u - v, None), (u - v + 4 * band, True), (u - v - 4 * band, False)]:
+            verdicts.clear()
+            report = check_strong_stationary(obj, set_, s, x, [t], tol)
+            assert verdicts == [verdict]
+            if verdict is not None:
+                assert report.general is verdict
+            assert_same_report(report, strong_stationary_on_grid(obj, set_, s, x, [t], tol))
+            public = check_strong_stationary(PublicProtocol(obj), set_, s, x, [t], tol)
+            assert_same_report(report, public)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@
 Generates the instances of every workload in ``perfbench/harness.WORKLOADS``
 at ``--seed``, solves each once with the benchmark's settings and hashes its
 ``IterateTrace.to_dict()`` (records, certificate with its witness, gaps and
-``x_final``) as canonical JSON, leaving out ``wall_time_seconds`` and
-``screened_steps``.  Two checkouts that print the same hash solved every
+``x_final``) as canonical JSON, leaving out ``wall_time_seconds``,
+``screened_steps`` and ``certificate_seconds``.  Two checkouts that print the same hash solved every
 instance to the same bits, which ``perfbench/digest.py``, comparing
 ``f_final`` within 1e-12(1 + |f|) and never seeing certificates or gaps,
 cannot show.  Like ``perfbench/run.py``, it pins BLAS to one thread and
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py)
 
 # fields that vary from run to run, or count the path a step took rather than its bits
-SKIPPED = ("wall_time_seconds", "screened_steps")
+SKIPPED = ("wall_time_seconds", "screened_steps", "certificate_seconds")
 
 
 def canonical(trace) -> str:
