@@ -305,9 +305,6 @@ def check_strong_stationary(
 _UNIT = 2.0**-53
 _TINY = 2.0**-1074
 
-# the catalog sets whose projection acts entry by entry, so one call projects every row
-_ENTRYWISE = ("full", "nonneg")
-
 
 class _SupportGrid:
     """Every grid step of a point with s nonzeros on S, formed on S in one pass.
@@ -320,8 +317,7 @@ class _SupportGrid:
     and the sums on S are taken for all rows at once with floating-point
     warnings off: a row they cannot decide (an entry that is not finite, a
     sum that overflows) goes to the n-wide code, which warns or raises as
-    it always did.  The entrywise sets project every row at once; the others
-    project a row when the walk reaches it.
+    it always did.  A row is projected when the walk reaches it.
     """
 
     def __init__(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
@@ -350,16 +346,14 @@ class _SupportGrid:
             # off S both n-wide sums hold the same terms fl(fl(t*g_j)^2), at
             # most (1 + u)^3 t^2 g_j^2 each, plus a few smallest subnormals
             # where a product underflows; one product g_off . g_off bounds
-            # their sum for every row
-            g_off = float(rest.dot(rest))
-            w_hi = ts * ts * (g_off + n * _TINY) * (1.0 + 8.0 * gamma) + 4 * n * _TINY
+            # their sum for every row.  t*t underflows below 1e-154, where
+            # t^2 g_off may still be large, so a step below 1 takes t*(t*g_off):
+            # an underflow there, scaled by t < 1, adds at most a subnormal
+            g_off = float(rest.dot(rest)) + n * _TINY
+            t2g = np.where(ts < 1.0, ts * (ts * g_off), ts * ts * g_off)
+            w_hi = t2g * (1.0 + 8.0 * gamma) + 4 * n * _TINY
             d = self.x_supp - a
             self.u = (d * d).sum(axis=1).tolist()
-            self.p = self.v = None
-            if set_.variant in _ENTRYWISE:
-                self.p = set_._project(a)
-                d = self.p - a
-                self.v = (d * d).sum(axis=1).tolist()
         self.scale, self.slack = 8.0 * gamma, (2.0 * w_hi + tol).tolist()
         self.diff = np.zeros(n)
 
@@ -372,7 +366,7 @@ class _SupportGrid:
         """
         if not self.screened[i]:
             return None
-        values = self.set_._project(self.a[i]) if self.p is None else self.p[i]
+        values = self.set_._project(self.a[i])
         # equal values move by an exact 0; ddot groups its terms by position,
         # so any other move is summed over the n-vector
         if values.tobytes() == self.x_bytes:
@@ -395,12 +389,13 @@ class _SupportGrid:
         n-wide sums.  Where ``U - V`` lies farther from ``tol`` than the
         band, the n-wide comparison must say the same.
         """
-        if self.v is None:
+        if values.base is self.a:
+            # the projection returned its row, so p - a is an exact 0 on S
+            v = 0.0
+        else:
             with np.errstate(over="ignore", invalid="ignore"):
                 d = values - self.a[i]
                 v = float(d.dot(d))
-        else:
-            v = self.v[i]
         u = self.u[i]
         band = self.scale * (u + v + self.slack[i])
         if u - v > self.tol + band:

@@ -646,6 +646,22 @@ def test_screened_certificate_decides_general_on_the_support_clear_of_its_band(
             assert_same_report(report, public)
 
 
+@pytest.mark.parametrize("t", [1e-160, 1e-162, 1e-163])
+def test_screened_certificate_bounds_the_off_support_sum_at_a_tiny_step(t):
+    # t*t is subnormal or 0 here, while t*g_j is about 1e-10 off S, so the
+    # off-support sum W is about 2e-20 and U on S, about 2e-38, lies far
+    # below the last bit of W: the n-wide sums tie and general holds.  The
+    # bound on W must not underflow with t*t, or the band misses W and S
+    # alone says general fails
+    x = np.array([1e-4, 1e-4, 0.0, 0.0])
+    obj = quadratic([1e-4 - 1e144, 1e-4 - 1e144, -1e153, -1e153])
+    report = check_strong_stationary(obj, full_space(), 2, x, [t], 0.0)
+    assert report.general and report.worst_violation > 0.0
+    assert_same_report(report, strong_stationary_on_grid(obj, full_space(), 2, x, [t], 0.0))
+    public = check_strong_stationary(PublicProtocol(obj), full_space(), 2, x, [t], 0.0)
+    assert_same_report(report, public)
+
+
 @pytest.mark.parametrize(
     "set_, center",
     [
