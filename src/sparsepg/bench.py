@@ -230,6 +230,14 @@ def _csv_cell(value) -> str:
 
 def solve_instance(inst: Instance, method: str, grid_points: int, tol: float,
                f_tol: float, max_iter: int) -> IterateTrace:
+    """Solve ``inst`` once with ``method`` (``"pg"`` or ``"npg"``) and the benchmark's settings.
+
+    PG steps at ``default_stepsize`` of the objective's Lipschitz estimate;
+    NPG takes ``benchmark_config`` with the family's ``NPG_SCHEDULE``.  Both
+    stop on ``f_tol`` or after ``max_iter`` iterations, and certify the final
+    point within ``tol`` on ``grid_points`` stepsizes from 0 to the
+    solver's step.  Returns the trace; an unknown method raises ValueError.
+    """
     lip = inst.objective.lipschitz
     if method == "pg":
         return pg_solve(

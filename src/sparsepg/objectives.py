@@ -24,26 +24,22 @@ and with it the BLAS bits stay).
 
 Both are losses of ``p = A @ x`` and share one evaluation path.  Since the
 solvers' iterates are sparse, ``A @ x`` is formed from the columns on the
-support S of ``x`` only, so ``value`` costs O(m * ||x||_0).  Each model keeps
-the columns of its last support, and gathers them again only when S changes.
-That cache holds m * ||x||_0 floats, up to a second copy of ``A`` as
-||x||_0 nears n.  A caller that holds a point by its values ``x_S`` on a
-known S (the screened steps of ``pg_solve``) forms ``p = A[:, S] @ x_S`` from
-the kept columns, the same product, and no n-wide scan for S runs.  The
-gradient is ``A.T @ v`` for the loss derivative ``v`` in ``p``: its entries
-on S come from the support columns, ``A[:, S].T @ v``, and only the others
-from the dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
+support S of ``x`` only: each public call finds S by one n-wide scan and
+gathers ``A[:, S]`` anew, so ``value`` costs O(m * ||x||_0).  The gradient is
+``A.T @ v`` for the loss derivative ``v`` in ``p``: its entries on S come
+from the support columns, ``A[:, S].T @ v``, and only the others from the
+dense product.  ``grad`` and ``value_and_grad`` thus cost one dense
 ``A.T @ v`` plus O(m * ||x||_0), and a solver that needs only the entries on
 S gets them, bit for bit, for O(m * ||x||_0).
 
-``grad`` and ``value_and_grad`` form g anew on each call, in a new array;
-the models keep no gradient.  On these models ``npg_solve`` evaluates each
-point it forms from its support, which a projection gives with no scan, and
-keeps the loss derivative ``v``; it forms the gradient at each accepted point
-from that ``v``, with no second ``A[:, S] @ x_S`` or loss pass, and hands it,
-with the f it holds, to its swaps and support changes as arguments.  The
-solvers empty the kept columns when a solve starts and after its
-certificate, so nothing of one solve's evaluations crosses to the next.
+The models keep nothing of their evaluations: after construction they hold
+``A``, ``b`` or the labels and their negation, and the Lipschitz estimate
+once it is asked for.
+``grad`` and ``value_and_grad`` form g anew on each call, in a new array.
+What a solve reuses between evaluations, the support columns while S stays
+put and the loss derivative at the last point, the solvers' step objects
+keep for the length of one solve (see :mod:`sparsepg.solvers`), so two
+solves that share a model share nothing else.
 
 Each model forms its loss and derivative in one pass over ``p``, the same
 arithmetic on every path.  The logistic loss takes one ``logaddexp``: with
@@ -141,12 +137,6 @@ class _LinearModel:
         if not np.isfinite(self.A).all():
             raise ValueError("A must be finite")
         self._lipschitz: float | None = None
-        self._forget()
-
-    def _forget(self) -> None:
-        """Drop the kept support columns, as the solvers do around a solve."""
-        self._supp = np.empty(0, dtype=np.intp)
-        self._cols = self.A[:, self._supp]
 
     @property
     def dim(self) -> int:
@@ -171,26 +161,17 @@ class _LinearModel:
         g[supp] = cols.T @ v
         return g
 
-    def _kept_columns(self, supp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``supp`` and ``A[:, supp]``: the same kept pair for as long as the support stays put."""
-        # comparing the bytes is exact here, and 30x cheaper than np.array_equal
-        if supp.tobytes() != self._supp.tobytes():
-            self._supp, self._cols = supp, self.A[:, supp]
-        return self._supp, self._cols
-
     def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``p = A[:, S] @ x[S]`` of a checked vector, with its support S and ``A[:, S]``.
 
-        S is found by one n-wide scan.
+        S is found by one n-wide scan, and ``A[:, S]`` gathered anew.
         """
-        supp, cols = self._kept_columns(x.nonzero()[0])
+        supp = x.nonzero()[0]
+        cols = self.A[:, supp]
         return cols @ x[supp], supp, cols
 
-    def _loss(self, p: np.ndarray) -> float:
-        return self._loss_and_dloss(p)[0]
-
     def value(self, x) -> float:
-        return self._loss(self._evaluate(as_vector(x, self.dim))[0])
+        return self._loss_and_dloss(self._evaluate(as_vector(x, self.dim))[0])[0]
 
     def grad(self, x) -> np.ndarray:
         return self.value_and_grad(x)[1]
@@ -231,9 +212,6 @@ class Logistic(_LinearModel):
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         self._flipped = -self.labels
-
-    def _loss(self, p: np.ndarray) -> float:
-        return float(np.logaddexp(0.0, self._flipped * p).sum())
 
     def _loss_and_dloss(self, p: np.ndarray) -> tuple[float, np.ndarray]:
         # flipping signs is exact, so -u = -labels * p and v = -labels * exp(-u - l)

@@ -113,5 +113,14 @@ def _certified_unique(set_: SymmetricSet, s: int, a: np.ndarray, proj: SparsePro
     ranked = set_.ranking_values(a)
     n = ranked.size
     part = np.partition(ranked, (n - s - 1, n - s))
-    tol = 1e-10 * (1.0 + float(abs(a).max()))
-    return float(part[n - s]) > float(part[n - s - 1]) + tol
+    return _clears_margin(float(part[n - s]), float(part[n - s - 1]), float(abs(a).max()))
+
+
+def _clears_margin(low: float, high: float, a_max: float) -> bool:
+    """The uniqueness test: ``low`` beats ``high`` by more than ``1e-10 * (1 + a_max)``.
+
+    ``low`` is the smallest ranking value on the support, ``high`` the
+    largest off it, and ``a_max`` the largest absolute entry of the vector
+    projected.
+    """
+    return low > high + 1e-10 * (1.0 + a_max)

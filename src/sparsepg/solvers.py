@@ -15,9 +15,13 @@ projects on S alone: it needs only the gradient entries on S and costs
 O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
 A step on S whose entries are not all finite fails the bound and goes dense.
 
-``pg_solve`` holds every iterate as its values on its support alone.  A
-screened step that keeps every entry of S nonzero evaluates the new point as
-``A[:, S] @ y_S`` from the kept columns, with no n-wide scan, and takes its
+The step objects of a solve keep the columns ``A[:, S]`` of the support S of
+the point last evaluated, and gather them again only when S changes; the
+models themselves keep nothing, so nothing of one solve's evaluations
+crosses to the next.  ``pg_solve`` holds every iterate as its values on its
+support alone.  A screened step that keeps every entry of S nonzero
+evaluates the new point as ``A[:, S] @ y_S`` from the kept columns, with no
+n-wide scan, and takes its
 ``move_sq`` and constraint gaps from the s-vectors.  The n-vector is built
 only for a dense step, which is also taken by a screened step whose
 projection zeroes an entry of S (an l1-ball soft threshold can), and for the
@@ -30,9 +34,10 @@ takes the dense step.
 
 ``npg_solve`` reaches the objective through the same step objects.  On the
 linear models it evaluates every point it forms (a trial, the two
-support-change points, an accepted swap) from the columns on the point's
-support, which the projection gives with its values (the swap and the
-support change return only the point, and one scan finds its support).  It
+support-change points, the swap's candidates and the accepted swap) from the
+columns on the point's support, which the projection gives with its values
+(the swap and the support change return only the point, and one scan finds
+its support).  It
 keeps the loss derivative of the point and forms the gradient at the
 accepted point from it with one dense ``A.T @ v``.  The swap and the support
 change take the support, that gradient and, for the swap, the f that NPG
@@ -334,15 +339,8 @@ def _require_stop_rule(f_tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be positive")
 
 
-def _forget(obj) -> None:
-    """Empty what a linear model keeps of its evaluations, so that none crosses a solve."""
-    if isinstance(obj, _LinearModel):
-        obj._forget()
-
-
 def _start(obj, set_: SymmetricSet, s: int, x0) -> np.ndarray:
     """``x0`` as a checked vector, or a ValueError unless ``s`` is valid and it is a feasible start."""
-    _forget(obj)
     x = as_vector(x0, obj.dim)
     _check_sparsity_level(s, x.size)
     if support_of(x).size > s:
@@ -363,7 +361,6 @@ def _finish(
     if certify:
         certificate = check_strong_stationary(obj, set_, s, x, grid, certify_tol)
         seconds = time.perf_counter() - solved
-    _forget(obj)
     return IterateTrace(
         columns, f_initial, x, columns.f_value[-1], len(columns), solved - start, certificate,
         "converged" if converged else "max_iter", screened_steps, seconds,
@@ -445,11 +442,13 @@ class _DenseSteps:
 class _ScreenedSteps:
     """Gradients of a linear model: PG's, with steps on the support where a bound allows, and NPG's.
 
-    ``evaluate`` keeps the loss derivative ``v`` at the iterate and the
-    support S and columns ``A[:, S]`` that the model returns with ``p``;
-    ``evaluate_on_support`` evaluates a point with support S from its values
-    on S and the kept columns.  ``gradient`` forms the dense gradient and
-    makes it the reference of the bound: ``v_ref``, the largest off-support
+    Every evaluation keeps the loss derivative ``v`` at its point, and the
+    support S and columns ``A[:, S]`` of that point.  The columns are
+    gathered again only when S changes, and while S stays put the kept S is
+    the same array, so a caller may test it by identity.  ``evaluate`` finds
+    S by one n-wide scan; ``evaluate_on_support`` evaluates a point with
+    support S from its values on S and the kept columns.  ``gradient`` forms
+    the dense gradient and makes it the reference of the bound: ``v_ref``, the largest off-support
     ranking value ``G`` of ``-g_ref`` and the largest off-support column norm
     ``C``, both refreshed when S changes.  The column norms are computed once
     per solve, not kept on the objective: kept on each objective, they raised
@@ -463,16 +462,17 @@ class _ScreenedSteps:
 
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
         self.model, self.set_, self.s = model, set_, s
+        self.supp = np.empty(0, dtype=np.intp)
+        self.cols = model.A[:, self.supp]
         self.screened = 0
         self.g_ref: np.ndarray | None = None
         self.norms: np.ndarray | None = None
         self.bound_supp: np.ndarray | None = None  # the support that G and C hold for
 
     def evaluate(self, x: np.ndarray) -> float:
-        """f at ``x``, whose support and columns the model finds by one n-wide scan."""
-        p, self.supp, self.cols = self.model._evaluate(x)
-        f, self.v = self.model._loss_and_dloss(p)
-        return f
+        """f at the checked vector ``x``, whose support one n-wide scan finds."""
+        supp = x.nonzero()[0]
+        return self.value(x, supp, x[supp])
 
     def evaluate_on_support(self, y_supp: np.ndarray) -> float:
         """f at the point that holds ``y_supp`` on S and zeros elsewhere."""
@@ -539,7 +539,9 @@ class _ScreenedSteps:
         Keeps the support, the columns and ``v`` of the point, for a gradient
         there.
         """
-        self.supp, self.cols = self.model._kept_columns(supp)
+        # comparing the bytes is exact here, and 30x cheaper than np.array_equal
+        if supp.tobytes() != self.supp.tobytes():
+            self.supp, self.cols = supp, self.model.A[:, supp]
         f, self.v = self.model._loss_and_dloss(self.cols @ x_supp)
         return f
 
@@ -549,8 +551,12 @@ class _ScreenedSteps:
 
     def swap(self, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray, g: np.ndarray,
              fx: float) -> np.ndarray:
-        """The swap at ``x``, given its support ``supp``, g and f there."""
-        return _coordinate_swap(self.model, set_, x, supp, g, fx)
+        """The swap at ``x``, given its support ``supp``, g and f there.
+
+        Values each candidate with ``evaluate``, so a second candidate on the
+        first one's support, and the accepted point after it, reuse its columns.
+        """
+        return _coordinate_swap(self.evaluate, set_, x, supp, g, fx)
 
     def support_change(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
                        t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,9 @@ import numpy as np
 
 from .core import _complement, _norm, _proper_support, _Record, _scatter, as_vector, support_of
 from .objectives import _LinearModel
-from .projection import _certified_unique, _check_sparsity_level, _top_support, project_sparse
+from .projection import (
+    _certified_unique, _check_sparsity_level, _clears_margin, _top_support, project_sparse,
+)
 from .sets import _SCALAR_MAX, SymmetricSet
 from .subroutines import _swap_candidates
 
@@ -376,8 +378,8 @@ class _SupportGrid:
             move = _norm(self.diff)
         if move > self.tol:
             return values, move, False
-        margin = 1e-10 * (1.0 + max(self.a_max[i], t * self.g_max))
-        certified = np.count_nonzero(values) < self.s or self.lo[i] > self.off[i] + margin
+        a_max = max(self.a_max[i], t * self.g_max)
+        certified = np.count_nonzero(values) < self.s or _clears_margin(self.lo[i], self.off[i], a_max)
         return values, move, bool(certified)
 
     def general(self, i: int, values: np.ndarray) -> bool | None:

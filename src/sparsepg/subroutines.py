@@ -5,7 +5,9 @@ transplants a single coordinate value (a coordinate permutation, plus a sign
 flip for sign-free sets), and the support change rebuilds the point by
 sub-projecting a gradient step on the edited support.  Each public move checks
 its input, asks the objective for the gradient (and the swap for f) at the
-point, and calls its private form, which takes them as arguments.
+point, and calls its private form, which takes them as arguments; the private
+swap values its candidates through the callable it is given, ``obj.value``
+on the public path.
 """
 
 from __future__ import annotations
@@ -55,17 +57,17 @@ def coordinate_swap(obj, set_: SymmetricSet, x) -> np.ndarray:
     """
     x = as_vector(x)
     supp = _proper_support(x)
-    return _coordinate_swap(obj, set_, x, supp, obj.grad(x), obj.value(x))
+    return _coordinate_swap(obj.value, set_, x, supp, obj.grad(x), obj.value(x))
 
 
-def _coordinate_swap(obj, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray,
+def _coordinate_swap(value, set_: SymmetricSet, x: np.ndarray, supp: np.ndarray,
                      grad: np.ndarray, fx: float) -> np.ndarray:
     """:func:`coordinate_swap` at ``x``, given its support, its gradient and f(x).
 
-    Values only the swapped points.
+    Values only the swapped points, each by one call ``value(y)``.
     """
     candidates = _swap_candidates(set_, x, grad, supp)
-    f = [obj.value(y) for y in candidates]
+    f = [value(y) for y in candidates]
     if fx > min(f):
         return candidates[0] if f[0] <= f[-1] else candidates[-1]
     return x

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsepg import LeastSquares, Logistic, gen_instance, make_rng
+from sparsepg import (
+    LeastSquares,
+    Logistic,
+    benchmark_config,
+    default_stepsize,
+    full_space,
+    gen_instance,
+    make_rng,
+    npg_solve,
+    pg_solve,
+)
 from sparsepg.objectives import _top_singular_value_sq
+from sparsepg.solvers import _ScreenedSteps
 
 
 def central_diff(obj, x, h_scale=1e-6):
@@ -272,25 +283,35 @@ def point_on(n, supp, values):
     return x
 
 
-# the linear models keep the support and its columns, not a gradient: every
-# grad forms one product, in a new array, with an identical model's bits
+def kept_steps(obj):
+    """The solvers' step object on ``obj``, which keeps the support and its columns."""
+    return _ScreenedSteps(obj, full_space(), 3)
+
+
+# the linear models keep nothing: every grad forms one product, in a new
+# array, with an identical model's bits; the solvers' step object keeps the
+# support and its columns, and gathers them again only when the support moves
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
 def test_memo_returns_the_kept_bits_in_a_new_writeable_array(kind, products):
     obj, twin, rng = memo_objective(kind)
+    steps = kept_steps(obj)
     x = point_on(obj.dim, [3, 17, 42], rng.standard_normal(3))
     first = obj.grad(x)
-    cols = obj._cols
+    assert steps.evaluate(x) == twin.value(x)
+    cols = steps.cols
     second = obj.grad(x.copy())
-    assert products_of(obj, products) == 2 and obj._cols is cols
+    assert steps.evaluate(x.copy()) == twin.value(x)
+    assert products_of(obj, products) == 2 and steps.cols is cols
     assert second.flags.writeable and not np.shares_memory(first, second)
     assert np.array_equal(first, second) and np.array_equal(second, twin.grad(x))
     want = second.copy()
     first[:] = np.nan
     second[:] = np.nan
     assert np.array_equal(obj.grad(x), want)
-    assert products_of(obj, products) == 3 and obj._cols is cols
+    assert steps.evaluate(x) == twin.value(x)
+    assert products_of(obj, products) == 3 and steps.cols is cols
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
@@ -301,12 +322,15 @@ def test_memo_recomputes_on_another_support_or_another_value(kind, products):
     moved = point_on(obj.dim, [3, 17, 43], values)
     nudged = x.copy()
     nudged[17] = np.nextafter(nudged[17], np.inf)
+    steps = kept_steps(obj)
     obj.grad(x)
+    steps.evaluate(x)
     for k, y in enumerate((moved, nudged, x), start=2):
         assert np.array_equal(obj.grad(y), twin.grad(y))
         assert products_of(obj, products) == k
-        assert np.array_equal(obj._supp, y.nonzero()[0])
-        assert np.array_equal(obj._cols, obj.A[:, obj._supp])
+        assert steps.evaluate(y) == twin.value(y)
+        assert np.array_equal(steps.supp, y.nonzero()[0])
+        assert np.array_equal(steps.cols, obj.A[:, steps.supp])
 
 
 @pytest.mark.parametrize("kind", MEMO_KINDS)
@@ -316,10 +340,13 @@ def test_memo_takes_a_negative_zero_as_off_the_support(kind, products):
     x = point_on(obj.dim, [3, 17, 42], rng.standard_normal(3))
     signed = x.copy()
     signed[[0, 18, 59]] = -0.0
+    steps = kept_steps(obj)
     g = obj.grad(x)
-    cols = obj._cols
+    steps.evaluate(x)
+    cols = steps.cols
     f, h = obj.value_and_grad(signed)
-    assert products_of(obj, products) == 2 and obj._cols is cols
+    assert steps.evaluate(signed) == f
+    assert products_of(obj, products) == 2 and steps.cols is cols
     assert np.array_equal(g, h) and np.array_equal(h, twin.grad(signed))
     assert f == twin.value(signed)
 
@@ -338,6 +365,34 @@ def test_memo_value_and_grad_after_grad_gives_the_bits_of_value_and_grad(kind, p
     assert f == obj.value(x) == twin.value(x)
     assert np.array_equal(h, g) and np.array_equal(h, obj.grad(x))
     assert np.array_equal(h, twin.grad(x))
+
+
+@pytest.mark.parametrize("kind", MEMO_KINDS)
+def test_memo_models_keep_no_state_between_calls(kind):
+    # the Lipschitz estimate is the one thing a model computes after it is
+    # built; past it, neither its calls nor a solve add, drop or replace
+    # anything the model holds
+    obj, _, rng = memo_objective(kind)
+    alpha = default_stepsize(obj.lipschitz)
+    before = dict(vars(obj))
+
+    def unchanged():
+        after = vars(obj)
+        return after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+
+    for supp in ([3, 17, 42], [5], [], [3, 17, 43], [3, 17, 43]):
+        x = point_on(obj.dim, supp, rng.standard_normal(len(supp)))
+        obj.value(x)
+        assert unchanged()
+        obj.grad(x)
+        assert unchanged()
+        obj.value_and_grad(x)
+        assert unchanged()
+    x0 = np.zeros(obj.dim)
+    pg_solve(obj, full_space(), 3, x0, alpha, max_iter=40)
+    assert unchanged()
+    npg_solve(obj, full_space(), 3, x0, benchmark_config(obj.lipschitz, M=4, N=5, q=3, max_iter=40))
+    assert unchanged()
 
 
 @st.composite
@@ -370,8 +425,10 @@ def support_walks(draw):
 @settings(max_examples=150, deadline=None)
 @given(support_walks())
 def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
+    # the step object keeps the support array, the same one while it stays put
     model, data, points = walk
     obj = model(*data)
+    steps = _ScreenedSteps(obj, full_space(), 1)
     last = None  # the support array of the last evaluation
     for x, order in points:
         fresh = model(*data)
@@ -381,7 +438,9 @@ def test_kept_support_columns_give_the_bits_of_a_fresh_objective(walk):
                 assert got[0] == want[0] and np.array_equal(got[1], want[1])
             else:
                 assert np.array_equal(got, want)
-        supp = obj._evaluate(x)[1]
+        assert steps.evaluate(x) == fresh.value(x)
+        assert np.array_equal(steps.gradient_at(x), fresh.grad(x))
+        supp = steps.supp
         assert (supp is last) == (last is not None and np.array_equal(supp, last))
         assert np.array_equal(supp, x.nonzero()[0])
         last = supp
@@ -405,7 +464,7 @@ def test_one_pass_logistic_derivative_matches_the_two_pass_sigmoid_form():
     two_pass = -(labels * np.exp(-np.logaddexp(0.0, u)))
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     assert np.all(np.abs(v - two_pass) <= 2 * eps * (1 + np.abs(u)) * np.abs(two_pass) + tiny)
-    assert f == float(np.logaddexp(0.0, -u).sum()) == obj._loss(p)
+    assert f == float(np.logaddexp(0.0, -u).sum())
 
 
 def test_logistic_lipschitz_equals_label_scaled_estimate():

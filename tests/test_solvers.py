@@ -31,7 +31,6 @@ from sparsepg import (
 )
 from sparsepg import solvers
 from sparsepg.bench import solve_instance
-from sparsepg.objectives import _LinearModel
 from sparsepg.projection import _top_support
 from sparsepg.sets import _SCALAR_MAX, _finite_least
 from sparsepg.solvers import _bb_stepsize, _ScreenedSteps
@@ -530,13 +529,13 @@ def test_npg_trace_invariants_on_every_set_and_loss(problem):
 def test_screening_covers_table2_pg_after_the_first_steps(monkeypatch):
     # the n-wide scan for the support runs at the start and on dense steps only
     scans = []
-    scan = _LinearModel._evaluate
+    scan = _ScreenedSteps.evaluate
 
-    def counted(model, x):
+    def counted(steps, x):
         scans.append(x.size)
-        return scan(model, x)
+        return scan(steps, x)
 
-    monkeypatch.setattr(_LinearModel, "_evaluate", counted)
+    monkeypatch.setattr(_ScreenedSteps, "evaluate", counted)
     inst = gen_instance("logistic", 500, 1000, 2000)
     alpha = default_stepsize(inst.objective.lipschitz)
     trace = pg_solve(inst.objective, inst.set_, inst.s, inst.x0, alpha, max_iter=250, certify=False)
@@ -587,18 +586,20 @@ def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
 
 
 def test_npg_private_path_swap_values_only_its_candidates(products, monkeypatch):
-    # NPG hands the swap f and g at x, so it values the one or two swapped
-    # points alone and forms no product
+    # NPG hands the swap f and g at x, so it takes one loss pass for each of
+    # the one or two swapped points alone and forms no product
     values = []
-    value = _LinearModel.value
-    monkeypatch.setattr(_LinearModel, "value", lambda model, x: values.append(x) or value(model, x))
+    loss = LeastSquares._loss_and_dloss
+    monkeypatch.setattr(
+        LeastSquares, "_loss_and_dloss", lambda model, p: values.append(p) or loss(model, p),
+    )
     calls = []
     swap = solvers._coordinate_swap
 
-    def counted(obj, set_, x, supp, g, fx):
+    def counted(value, set_, x, supp, g, fx):
         values.clear()
         products.clear()
-        y = swap(obj, set_, x, supp, g, fx)
+        y = swap(value, set_, x, supp, g, fx)
         calls.append((len(values), len(products), 1 if set_.kind == "nonnegative" else 2))
         return y
 

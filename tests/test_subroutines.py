@@ -156,7 +156,7 @@ def test_private_moves_give_the_public_bits(set_, logistic, seed):
     assume(0 < supp.size < n)
     t = float(rng.uniform(0.0, 1.5))
     g, fx = obj.grad(x), obj.value(x)
-    swapped = _coordinate_swap(obj, set_, x, supp, g, fx)
+    swapped = _coordinate_swap(obj.value, set_, x, supp, g, fx)
     assert swapped.tobytes() == coordinate_swap(obj, set_, x).tobytes()
     changed = _change_support(set_, x, supp, g, t)
     assert changed.tobytes() == change_support(obj, set_, s, x, t).tobytes()
