@@ -34,12 +34,12 @@ S gets them, bit for bit, for O(m * ||x||_0).
 
 The models keep nothing of their evaluations: after construction they hold
 ``A``, ``b`` or the labels and their negation, and the Lipschitz estimate
-once it is asked for.
-``grad`` and ``value_and_grad`` form g anew on each call, in a new array.
-What a solve reuses between evaluations, the support columns while S stays
-put and the loss derivative at the last point, the solvers' step objects
-keep for the length of one solve (see :mod:`sparsepg.solvers`), so two
-solves that share a model share nothing else.
+once it is asked for.  ``grad`` and ``value_and_grad`` form g anew on each
+call, in a new array.  What a solve reuses between evaluations, the support
+columns while S stays put and the loss derivative at the last point, the
+solvers' step objects keep for the length of one solve (see
+:mod:`sparsepg.solvers`), so two solves that share a model share nothing
+else.
 
 Each model forms its loss and derivative in one pass over ``p``, the same
 arithmetic on every path.  The logistic loss takes one ``logaddexp``: with

@@ -21,12 +21,11 @@ models themselves keep nothing, so nothing of one solve's evaluations
 crosses to the next.  ``pg_solve`` holds every iterate as its values on its
 support alone.  A screened step that keeps every entry of S nonzero
 evaluates the new point as ``A[:, S] @ y_S`` from the kept columns, with no
-n-wide scan, and takes its
-``move_sq`` and constraint gaps from the s-vectors.  The n-vector is built
-only for a dense step, which is also taken by a screened step whose
-projection zeroes an entry of S (an l1-ball soft threshold can), and for the
-returned trace.  Screened and dense steps give
-the same bits, because the objectives take the gradient entries on the
+n-wide scan, and takes its ``move_sq`` and constraint gaps from the
+s-vectors.  The n-vector is built only for a dense step, which is also
+taken by a screened step whose projection zeroes an entry of S (an l1-ball
+soft threshold can), and for the returned trace.  Screened and dense steps
+give the same bits, because the objectives take the gradient entries on the
 support from the support columns on every path, and every step computes its
 ``move_sq`` and constraint gaps in one place, on supp(x) | supp(y) in
 ascending index order, which is S on a screened step.  Any other objective
@@ -37,13 +36,12 @@ linear models it evaluates every point it forms (a trial, the two
 support-change points, the swap's candidates and the accepted swap) from the
 columns on the point's support, which the projection gives with its values
 (the swap and the support change return only the point, and one scan finds
-its support).  It
-keeps the loss derivative of the point and forms the gradient at the
-accepted point from it with one dense ``A.T @ v``.  The swap and the support
-change take the support, that gradient and, for the swap, the f that NPG
-holds as arguments, so neither evaluates the point it starts from.  Its
-trial and support-change steps are checked finite once, then projected by
-the unchecked ``_project_sparse``.  Any other objective sees the calls of
+its support).  It keeps the loss derivative of the point and forms the
+gradient at the accepted point from it with one dense ``A.T @ v``.  The swap
+and the support change take the support, that gradient and, for the swap,
+the f that NPG holds as arguments, so neither evaluates the point it starts
+from.  Its trial and support-change steps are checked finite once, then
+projected by the unchecked ``_project_sparse``.  Any other objective sees the calls of
 the public path: ``project_sparse`` for each projection, the public
 ``coordinate_swap`` and ``change_support``, which ask it for g and f again,
 one ``value`` per point and one ``grad`` per iterate, so a traced run's
@@ -448,9 +446,9 @@ class _ScreenedSteps:
     the same array, so a caller may test it by identity.  ``evaluate`` finds
     S by one n-wide scan; ``evaluate_on_support`` evaluates a point with
     support S from its values on S and the kept columns.  ``gradient`` forms
-    the dense gradient and makes it the reference of the bound: ``v_ref``, the largest off-support
-    ranking value ``G`` of ``-g_ref`` and the largest off-support column norm
-    ``C``, both refreshed when S changes.  The column norms are computed once
+    the dense gradient and makes it the reference of the bound: ``v_ref``,
+    the largest off-support ranking value ``G`` of ``-g_ref`` and the largest
+    off-support column norm ``C``, both refreshed when S changes.  The column norms are computed once
     per solve, not kept on the objective: kept on each objective, they raised
     the peak RSS of a one-pass pg-logistic benchmark run (32 objectives) by
     4 MB, against 0.4 MB when computed per solve.  NPG projects with the

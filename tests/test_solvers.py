@@ -587,7 +587,8 @@ def test_npg_forms_one_product_per_new_gradient_point(products, monkeypatch):
 
 def test_npg_private_path_swap_values_only_its_candidates(products, monkeypatch):
     # NPG hands the swap f and g at x, so it takes one loss pass for each of
-    # the one or two swapped points alone and forms no product
+    # the one or two swapped points alone and forms no product; it values
+    # them through its step object, whose kept columns they reuse
     values = []
     loss = LeastSquares._loss_and_dloss
     monkeypatch.setattr(
@@ -601,6 +602,7 @@ def test_npg_private_path_swap_values_only_its_candidates(products, monkeypatch)
         products.clear()
         y = swap(value, set_, x, supp, g, fx)
         calls.append((len(values), len(products), 1 if set_.kind == "nonnegative" else 2))
+        assert getattr(value, "__func__", None) is _ScreenedSteps.evaluate
         return y
 
     monkeypatch.setattr(solvers, "_coordinate_swap", counted)
