@@ -11,25 +11,32 @@ Once the iterate has ``s`` nonzeros on a support S, the gradient entries off
 S move by at most ``||a_j|| * ||v - v_ref||`` from those of the last dense
 gradient, where ``v`` is the loss derivative in ``A @ x``.  When that bound
 proves that the top-s support of ``x - t * g`` is S, with no ties, the step
-projects on S alone: it needs only the gradient entries on S and costs
-O(m * s), where a dense step costs one ``A.T @ v`` and an n-wide selection.
-A step on S whose entries are not all finite fails the bound and goes dense.
+is a screened one: it projects on S alone, needs only the gradient entries
+on S and costs O(m * s), where a dense step costs one ``A.T @ v`` and an
+n-wide selection.  When the bound fails, the step forms the dense gradient
+at the point, which the dense step needs anyway, makes it the new reference
+and tests S again, now exactly: off S the dense step's largest ranking value
+is exactly ``fl(t * G)``, G the largest off-support ranking value of ``-g``.
+If S passes, the step is a refreshed one and projects on S as a screened
+step does; if not, the dense step takes the gradient just formed, so every
+step that is not screened forms one dense gradient.  A step on S whose
+entries are not all finite fails both tests and goes dense.
 
 The step objects of a solve keep the columns ``A[:, S]`` of the support S of
 the point last evaluated, and gather them again only when S changes; the
 models themselves keep nothing, so nothing of one solve's evaluations
 crosses to the next.  ``pg_solve`` holds every iterate as its values on its
-support alone.  A screened step that keeps every entry of S nonzero
-evaluates the new point as ``A[:, S] @ y_S`` from the kept columns, with no
-n-wide scan, and takes its ``move_sq`` and constraint gaps from the
+support alone.  A screened or refreshed step that keeps every entry of S
+nonzero evaluates the new point as ``A[:, S] @ y_S`` from the kept columns,
+with no n-wide scan, and takes its ``move_sq`` and constraint gaps from the
 s-vectors.  The n-vector is built only for a dense step, which is also
-taken by a screened step whose projection zeroes an entry of S (an l1-ball
-soft threshold can), and for the returned trace.  Screened and dense steps
-give the same bits, because the objectives take the gradient entries on the
-support from the support columns on every path, and every step computes its
-``move_sq`` and constraint gaps in one place, on supp(x) | supp(y) in
-ascending index order, which is S on a screened step.  Any other objective
-takes the dense step.
+taken by a screened or refreshed step whose projection zeroes an entry of S
+(an l1-ball soft threshold can), and for the returned trace.  Screened,
+refreshed and dense steps give the same bits, because the objectives take
+the gradient entries on the support from the support columns on every path,
+and every step computes its ``move_sq`` and constraint gaps in one place, on
+supp(x) | supp(y) in ascending index order, which is S on a step on S.  Any
+other objective takes the dense step.
 
 ``npg_solve`` reaches the objective through the same step objects.  On the
 linear models it evaluates every point it forms (a trial, the two
@@ -274,8 +281,9 @@ class IterateTrace(_Record):
     other fields in declaration order.  ``stop_reason`` is ``"converged"``
     when the last iteration met the ``f_tol`` test and ``"max_iter"`` when the
     iteration cap ended the run.  ``screened_steps`` counts the PG steps that
-    skipped the dense gradient; it is 0 for NPG and for objectives other than
-    the package's linear models.  ``certificate_seconds`` is the time the
+    skipped the dense gradient; a refreshed step, which formed it and then
+    projected on the support, is not one of them.  It is 0 for NPG and for
+    objectives other than the package's linear models.  ``certificate_seconds`` is the time the
     certificate took, after ``wall_time_seconds`` was read; None when the
     solve was not certified.
     """
@@ -446,12 +454,18 @@ class _ScreenedSteps:
     the same array, so a caller may test it by identity.  ``evaluate`` finds
     S by one n-wide scan; ``evaluate_on_support`` evaluates a point with
     support S from its values on S and the kept columns.  ``gradient`` forms
-    the dense gradient and makes it the reference of the bound: ``v_ref``,
-    the largest off-support ranking value ``G`` of ``-g_ref`` and the largest
-    off-support column norm ``C``, both refreshed when S changes.  The column norms are computed once
-    per solve, not kept on the objective: kept on each objective, they raised
-    the peak RSS of a one-pass pg-logistic benchmark run (32 objectives) by
-    4 MB, against 0.4 MB when computed per solve.  NPG projects with the
+    the dense gradient at the point last valued, once, and makes it the
+    reference of the bound: ``v_ref``, and the largest off-support ranking
+    value ``G`` of ``-g_ref``, found again when the reference or S changes.
+    The largest off-support column norm ``C`` is found again only when S
+    changes.  ``screened_step`` tests S against the reference; when that
+    fails, it calls ``gradient`` and tests S exactly against the gradient at
+    the point (a refreshed step, which ``screened`` does not count), and the
+    dense step that follows a failed retest takes the same gradient from
+    ``gradient``.  The column norms are computed once per solve, not kept on
+    the objective: kept on each objective, they raised the peak RSS of a
+    one-pass pg-logistic benchmark run (32 objectives) by 4 MB, against
+    0.4 MB when computed per solve.  NPG projects with the
     unchecked ``_project_sparse``, evaluates each point it forms with
     ``value``, takes the gradient at the point last valued from
     ``gradient_at``, and hands the support, g and f it holds to the private
@@ -463,9 +477,8 @@ class _ScreenedSteps:
         self.supp = np.empty(0, dtype=np.intp)
         self.cols = model.A[:, self.supp]
         self.screened = 0
-        self.g_ref: np.ndarray | None = None
-        self.norms: np.ndarray | None = None
-        self.bound_supp: np.ndarray | None = None  # the support that G and C hold for
+        self.v = self.v_ref = self.g_ref = self.norms = None
+        self.g_supp = self.c_supp = None  # the supports that G and C hold for
 
     def evaluate(self, x: np.ndarray) -> float:
         """f at the checked vector ``x``, whose support one n-wide scan finds."""
@@ -480,19 +493,47 @@ class _ScreenedSteps:
     def screened_step(self, x_supp: np.ndarray, alpha: float) -> np.ndarray | None:
         """The PG step from the point holding ``x_supp`` on S, projected on S alone.
 
-        Gives the new values on S, or None unless the bound proves that S is
-        the top-s support.
+        Gives the new values on S, or None unless S is proved the top-s
+        support: first by the bound against the last dense gradient, which
+        makes the step a screened one, else by the exact test against the
+        dense gradient at this point, formed here and kept for the dense
+        step, which makes it a refreshed one.
         """
         supp = self.supp
-        if self.g_ref is None or supp.size != self.s:
+        if supp.size != self.s:
             return None
-        if self.bound_supp is not supp:
+        z = x_supp - alpha * (self.cols.T @ self.v)
+        least = _finite_least(self.set_.ranking_values(z))
+        if self.g_ref is not None and least > alpha * self._stale_threshold():
+            self.screened += 1
+            return self.set_._project(z)  # z is finite: a non-finite entry fails each test
+        self.gradient()
+        # Off S, x_j = 0, so the dense step's entries there are exactly
+        # -fl(t*g_j), and rounding is monotone and sign-symmetric: their
+        # largest ranking value is exactly fl(t*G), as in the certificate.
+        if least > alpha * self._slope():
+            return self.set_._project(z)
+        return None
+
+    def _slope(self) -> float:
+        """``G``, the largest ranking value of ``-g_ref`` off S, kept until S or g_ref changes."""
+        if self.g_supp is not self.supp:
+            self.G = _off_support_slope(self.set_, self.g_ref, self.supp)
+            self.g_supp = self.supp
+        return self.G
+
+    def _stale_threshold(self) -> float:
+        """A bound, from the reference, on the dense step's off-support ranking values over t.
+
+        ``C``, the largest off-support column norm, is kept until S changes.
+        """
+        supp = self.supp
+        if self.c_supp is not supp:
             if self.norms is None:  # column norms of A, without an m x n temporary
                 self.norms = np.sqrt(np.einsum("ij,ij->j", self.model.A, self.model.A))
-            self.G = _off_support_slope(self.set_, self.g_ref, supp)
             self.C = float(np.delete(self.norms, supp).max())
-            self.bound_supp = supp
-        z = x_supp - alpha * (self.cols.T @ self.v)
+            self.c_supp = supp
+        G, C = self._slope(), self.C
         # Off S, x_j = 0 and the dense step ranks fl(-t*g_j) (its absolute
         # value on sign-free sets), g_j the computed (A.T @ v)_j.  Exactly,
         # g_j - g_ref_j = a_j.(v - v_ref), at most c_j*||v - v_ref||, so every
@@ -513,19 +554,20 @@ class _ScreenedSteps:
         #   and the doubling cover it.
         m = self.v.size
         delta = _norm(self.v - self.v_ref)
-        slack = 2 * (m + 3) * _EPS * self.C * (_norm(self.v) + self.v_ref_norm)
-        slack += 4 * _EPS * (abs(self.G) + self.C * delta)
-        if not _finite_least(self.set_.ranking_values(z)) > alpha * (self.G + self.C * delta + slack):
-            return None
-        self.screened += 1
-        # z is finite: a non-finite entry fails the test above
-        return self.set_._project(z)
+        slack = 2 * (m + 3) * _EPS * C * (_norm(self.v) + self.v_ref_norm)
+        slack += 4 * _EPS * (abs(G) + C * delta)
+        return G + C * delta + slack
 
     def gradient(self) -> np.ndarray:
-        g = self.model._gradient(self.v, self.supp, self.cols)
-        self.v_ref, self.v_ref_norm, self.g_ref = self.v, _norm(self.v), g
-        self.bound_supp = None
-        return g
+        """The dense gradient at the point last valued, made the reference of the bound.
+
+        Formed once per point: a second call at the same point returns it.
+        """
+        if self.v_ref is not self.v:
+            self.g_ref = self.model._gradient(self.v, self.supp, self.cols)
+            self.v_ref, self.v_ref_norm = self.v, _norm(self.v)
+            self.g_supp = None
+        return self.g_ref
 
     def project(self, set_: SymmetricSet, s: int, z: np.ndarray) -> tuple[np.ndarray, ...]:
         """The point ``_project_sparse`` gives, with its support and its values there."""
@@ -611,7 +653,7 @@ def pg_solve(
             fy = steps.evaluate_on_support(y_supp)
         else:
             x = _scatter(n, supp_x, x_supp)
-            if y_supp is None:
+            if y_supp is None:  # the gradient that a failed refresh formed, if one did
                 y = project_sparse(set_, s, x - alpha * steps.gradient()).point
             else:  # an l1-ball soft threshold zeroed an entry of S
                 y = _scatter(n, supp_x, y_supp)

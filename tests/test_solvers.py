@@ -720,25 +720,63 @@ def test_no_gradient_carries_over_from_one_solve_to_the_next(products):
 
 
 def test_a_screened_step_that_zeroes_an_entry_of_the_support_keeps_the_dense_bits(monkeypatch):
-    # the l1-ball soft threshold zeroes an entry of S on a screened step, the
-    # one screened step after which the n-vector of the iterate is rebuilt
+    # the l1-ball soft threshold zeroes an entry of S on a step on S, the one
+    # step on S after which the n-vector of the iterate is rebuilt: a
+    # screened step (seed 42), and a refreshed one that formed the gradient
+    # at its point first (seed 41)
     zeroed = []
     step = _ScreenedSteps.screened_step
 
     def counted(steps, x_supp, alpha):
+        screened = steps.screened
         y_supp = step(steps, x_supp, alpha)
-        zeroed.append(y_supp is not None and np.count_nonzero(y_supp) < y_supp.size)
+        if y_supp is not None and np.count_nonzero(y_supp) < y_supp.size:
+            zeroed.append("screened" if steps.screened > screened else "refreshed")
+        else:
+            zeroed.append(None)
         return y_supp
 
     monkeypatch.setattr(_ScreenedSteps, "screened_step", counted)
-    rng = make_rng(42)
-    obj = LeastSquares(rng.standard_normal((8, 12)), rng.standard_normal(8))
-    alpha = default_stepsize(obj.lipschitz)
-    trace = pg_solve(obj, l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
-    dense = pg_solve(PublicProtocol(obj), l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
-    assert zeroed.count(True) == 1 and trace.screened_steps >= 10
-    k = zeroed.index(True)
-    assert trace.records[k].support.size < 3 <= trace.records[k - 1].support.size
+    for seed, kind, screened_steps in ((42, "screened", 10), (41, "refreshed", 5)):
+        zeroed.clear()
+        rng = make_rng(seed)
+        obj = LeastSquares(rng.standard_normal((8, 12)), rng.standard_normal(8))
+        alpha = default_stepsize(obj.lipschitz)
+        trace = pg_solve(obj, l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
+        dense = pg_solve(PublicProtocol(obj), l1_ball(0.5), 3, np.zeros(12), alpha, certify=False)
+        assert [z for z in zeroed if z] == [kind] and trace.screened_steps >= screened_steps
+        k = zeroed.index(kind)
+        assert trace.records[k].support.size < 3 <= trace.records[k - 1].support.size
+        assert [r.to_dict() for r in trace.records] == [r.to_dict() for r in dense.records]
+        assert np.array_equal(trace.x_final, dense.x_final)
+
+
+def test_refreshed_screening_keeps_the_dense_bits_with_one_gradient_per_unscreened_step(
+    products, monkeypatch,
+):
+    # Table-1 shape: a step whose bound against the last dense gradient fails
+    # forms the gradient at its point and tests S again; one that passes
+    # projects on S with no n-wide scan, one that fails takes the dense step
+    # with that same gradient, so each step that is not screened forms one
+    scans = []
+    scan = _ScreenedSteps.evaluate
+
+    def counted(steps, x):
+        scans.append(x.size)
+        return scan(steps, x)
+
+    monkeypatch.setattr(_ScreenedSteps, "evaluate", counted)
+    inst = gen_instance("cs-least-squares", 120, 512, 0, s=20)
+    alpha = default_stepsize(inst.objective.lipschitz)
+    trace = pg_solve(inst.objective, inst.set_, inst.s, inst.x0, alpha, certify=False)
+    unscreened = trace.iterations - trace.screened_steps
+    assert trace.screened_steps > 0 and unscreened > 0
+    assert len(products) == unscreened
+    assert len(scans) < 1 + unscreened  # some refreshed steps projected on S
+    dense = pg_solve(
+        PublicProtocol(inst.objective), inst.set_, inst.s, inst.x0, alpha, certify=False,
+    )
+    assert trace.stop_reason == dense.stop_reason
     assert [r.to_dict() for r in trace.records] == [r.to_dict() for r in dense.records]
     assert np.array_equal(trace.x_final, dense.x_final)
 
