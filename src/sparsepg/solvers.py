@@ -283,9 +283,9 @@ class IterateTrace(_Record):
     iteration cap ended the run.  ``screened_steps`` counts the PG steps that
     skipped the dense gradient; a refreshed step, which formed it and then
     projected on the support, is not one of them.  It is 0 for NPG and for
-    objectives other than the package's linear models.  ``certificate_seconds`` is the time the
-    certificate took, after ``wall_time_seconds`` was read; None when the
-    solve was not certified.
+    objectives other than the package's linear models.
+    ``certificate_seconds`` is the time the certificate took, after
+    ``wall_time_seconds`` was read; None when the solve was not certified.
     """
 
     _columns: _Columns = field(repr=False)
@@ -465,11 +465,10 @@ class _ScreenedSteps:
     ``gradient``.  The column norms are computed once per solve, not kept on
     the objective: kept on each objective, they raised the peak RSS of a
     one-pass pg-logistic benchmark run (32 objectives) by 4 MB, against
-    0.4 MB when computed per solve.  NPG projects with the
-    unchecked ``_project_sparse``, evaluates each point it forms with
-    ``value``, takes the gradient at the point last valued from
-    ``gradient_at``, and hands the support, g and f it holds to the private
-    swap and support change.
+    0.4 MB when computed per solve.  NPG projects with the unchecked
+    ``_project_sparse``, evaluates each point it forms with ``value``, takes
+    the gradient at the point last valued from ``gradient_at``, and hands the
+    support, g and f it holds to the private swap and support change.
     """
 
     def __init__(self, model: _LinearModel, set_: SymmetricSet, s: int):
