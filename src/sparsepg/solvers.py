@@ -130,6 +130,10 @@ class SolverConfig:
         for name in ("tbar", "c1", "c2", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # both enter max_backtracks through a log, whose floor must be finite
+        for name in ("t_max", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (isinstance(self.N, int) and self.N >= 3):
             raise ValueError("N must be an integer >= 3")
         if not (isinstance(self.M, int) and 0 <= self.M < self.N):

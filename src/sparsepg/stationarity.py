@@ -16,15 +16,15 @@ is exactly ``t*alpha``, alpha the largest off-support ranking value of
 ``-g``.  Every grid step's entries on S are formed in one pass, as one
 k-by-s array.  A row whose every ranking value beats ``t*alpha`` has S as
 its strict top-s support, and its projection and uniqueness test follow
-from its s entries with the bits of the n-wide step.  Off S both ``general``
-sums add the same computed terms ``fl(fl(t*g_j)^2)``, so they differ only on
-S, and the classical bound on floating-point sums (each within gamma_{n-1}
-of its exact value; Higham 2002, section 4.2) decides ``general`` from S
-wherever the difference lies outside a band around ``tol``; one n-wide
-``g_off . g_off`` bounds the part off S.  A moving step still sums its
-distance to x over the n-vector, which the bits of ``worst_violation``
-need.  A step inside the band, a tie, an entry that is not finite or a
-point with fewer than s nonzeros takes the n-wide code, at its place in the
+from its s entries with the bits of the n-wide step.  ``general`` at a step
+``a`` that moves x to p compares ``U = ||x - a||^2`` with ``V = ||p - a||^2``
+summed over the supports of x and p alone: off them x and p vanish, so the
+two distances add the same terms there, and leaving those terms out keeps
+large ones from swamping ``U - V``.  On a row of the one-pass array that
+union is S, and both paths sum the same terms in the same order.  A moving
+step still sums its distance to x over the n-vector, which the bits of
+``worst_violation`` need.  A tie, an entry that is not finite or a point
+with fewer than s nonzeros takes the n-wide code, at its place in the
 descending walk.  Only the linear models take this path: any other
 objective sees one ``project_sparse`` per grid step, the calls that a
 wrapper counting or timing them expects.
@@ -71,6 +71,10 @@ class GapMinimum:
 class StationarityReport(_Record):
     """Outcome of the stationarity checks at a given point.
 
+    ``general`` holds when at every grid step ``a = x - t*g`` that moves x to
+    its projection p, ``||x - a||^2`` is not above ``||p - a||^2 + tol``,
+    both summed over the supports of x and p, off which both terms are
+    ``a_j^2``.
     ``coordinatewise`` is None when that condition was not evaluated.
     ``worst_violation`` is the largest distance between the point and the
     projection of any gradient step on the grid.  ``witness``, when present,
@@ -223,7 +227,12 @@ def check_strong_stationary(
     Strong requires, at every grid step, that the projection returns the point
     itself and that the rule of :func:`certify_unique` certifies it, one rule
     at every n.  Uniqueness is certified only at the steps whose projection
-    stays within ``tol`` of the point, the only ones that read it.
+    stays within ``tol`` of the point, the only ones that read it.  General
+    requires, at every step ``a = x - t*g`` that moves x to its projection p,
+    ``not U > V + tol``, where ``U = ||x - a||^2`` and ``V = ||p - a||^2`` are
+    summed over the union of supp(x) and p's chosen support; off that union
+    both terms are ``a_j^2``, so ``U - V`` is exactly the difference of the
+    two distances over all n entries.
 
     The grid is walked from its largest step down; the verdicts and
     ``worst_violation`` do not depend on the order.  The witness is the
@@ -239,16 +248,14 @@ def check_strong_stationary(
     array (:class:`_SupportGrid`).  Off S a step's largest ranking value is
     exactly ``t*alpha`` (the module docstring says why), so a step whose
     ranking values on S all beat it has S as its top-s support with no tie,
-    and is projected and certified from its row alone.  A step that moves
-    still sums its distance to x over the n-vector, in one reused buffer,
-    and decides ``general`` from S wherever the rounding band of the two
-    n-wide sums lies clear of ``tol``; the projected n-vector is built only
-    while the witness is sought or inside that band, where the n-wide sums
-    decide.  A tie, an entry that is not finite and a point with fewer than
-    s nonzeros take the n-wide step at its place in the walk, which raises
-    the same error at the same step.  Any other objective takes the n-wide
-    step throughout, through one ``grad``, one ``value`` and one
-    ``project_sparse`` per grid step, so that a wrapper counting or timing
+    and is projected, certified and tested for ``general`` from its row
+    alone.  A step that moves still sums its distance to x over the
+    n-vector, in one reused buffer; the projected n-vector is built only
+    while the witness is sought.  A tie, an entry that is not finite and a
+    point with fewer than s nonzeros take the n-wide step at its place in the
+    walk, which raises the same error at the same step.  Any other objective
+    takes the n-wide step throughout, through one ``grad``, one ``value`` and
+    one ``project_sparse`` per grid step, so that a wrapper counting or timing
     its calls sees each of them.
     """
     x = as_vector(x)
@@ -276,19 +283,17 @@ def check_strong_stationary(
             certified = move <= tol and _certified_unique(set_, s, a, proj)
         else:
             values, move, certified = step
-            a = point = None
+            point = None
         worst = max(worst, move)
         if move <= tol:
             strong = strong and certified
             continue
         strong = False
-        if general:
-            holds = None if step is None else grid.general(i, values)
-            if holds is None:
-                point = _scatter(x.size, supp, values) if point is None else point
-                a = x - t * grad if a is None else a
-                holds = not float(((x - a) ** 2).sum()) > float(((point - a) ** 2).sum()) + tol
-            general = holds
+        if general and step is None:
+            on = np.union1d(supp, proj.chosen_support)
+            general = _general(float(((x[on] - a[on]) ** 2).sum()), point[on], a[on], tol)
+        elif general:
+            general = _general(grid.u[i], values, grid.a[i], tol)
         if witness is None:
             point = _scatter(x.size, supp, values) if point is None else point
             if obj.value(point) < fx:
@@ -302,40 +307,40 @@ def check_strong_stationary(
     )
 
 
-# the unit roundoff of float64, and its smallest subnormal, which bounds the
-# absolute error of an operation that underflows
-_UNIT = 2.0**-53
-_TINY = 2.0**-1074
+def _general(u: float, p: np.ndarray, a: np.ndarray, tol: float) -> bool:
+    """``general`` at one moving step, on both paths: ``not U > V + tol``.
+
+    ``p`` and ``a`` hold the projection and the step on the union of the two
+    supports, ``V`` is ``sum((p - a)^2)`` there, and ``u`` is ``U``, the
+    distance from x to ``a`` on the same entries, summed the same way.  V is
+    not negative, and rounding is monotone, so ``U <= tol`` decides the test
+    without V.
+    """
+    return u <= tol or not u > float(((p - a) ** 2).sum()) + tol
 
 
 class _SupportGrid:
     """Every grid step of a point with s nonzeros on S, formed on S in one pass.
 
     Row i of ``a`` is ``x_S - t_i*g_S`` for the i-th step of the descending
-    grid ``ts``, with the bits of the n-wide step on S.  ``alpha`` is the
-    largest off-support ranking value of ``-g`` and ``g_max`` the largest
-    ``|g_j|`` off S, so ``t*alpha`` and ``t*g_max`` are exactly the step's
-    largest ranking value and absolute entry off S.  The screen, the bounds
-    and the sums on S are taken for all rows at once with floating-point
-    warnings off: a row they cannot decide (an entry that is not finite, a
-    sum that overflows) goes to the n-wide code, which warns or raises as
-    it always did.  A row is projected when the walk reaches it.
+    grid ``ts``, with the bits of the n-wide step on S, and ``u[i]`` is its
+    ``general`` distance ``U`` to x, summed as :func:`_general` sums ``V``.
+    ``alpha`` is the largest off-support ranking value of ``-g`` and
+    ``g_max`` the largest ``|g_j|`` off S, so ``t*alpha`` and ``t*g_max`` are
+    exactly the step's largest ranking value and absolute entry off S.  The
+    screen and the sums are taken for all rows at once with floating-point
+    warnings off: a row with an entry that is not finite fails the screen
+    and goes to the n-wide code, which warns or raises as it always did.  A
+    row is projected when the walk reaches it.
     """
 
     def __init__(self, set_: SymmetricSet, s: int, x: np.ndarray, supp: np.ndarray,
                  grad: np.ndarray, ts: np.ndarray, tol: float):
-        n = x.size
         self.set_, self.s, self.supp, self.tol = set_, s, supp, tol
         self.x_supp = x[supp]
         self.x_bytes = self.x_supp.tobytes()
-        rest = np.delete(grad, supp)
         alpha = _off_support_slope(set_, grad, supp)
-        self.g_max = g_max = float(abs(rest).max())
-        # the n-wide sums each lie within gamma_{n-1} of their exact values
-        # (Higham 2002, section 4.2); the band below is 8 gamma_{n+2} wide,
-        # which also covers the sums on S, the bound on the sum off S and
-        # the rounding of the test itself
-        gamma = (n + 2) * _UNIT / (1.0 - (n + 2) * _UNIT)
+        self.g_max = g_max = float(abs(np.delete(grad, supp)).max())
         with np.errstate(over="ignore", invalid="ignore"):
             self.a = a = self.x_supp - ts[:, None] * grad[supp]
             ranked = set_.ranking_values(a)
@@ -345,19 +350,8 @@ class _SupportGrid:
                              & np.isfinite(ts * g_max)).tolist()
             self.lo, self.off = lo.tolist(), off.tolist()
             self.a_max = abs(a).max(axis=1).tolist()
-            # off S both n-wide sums hold the same terms fl(fl(t*g_j)^2), at
-            # most (1 + u)^3 t^2 g_j^2 each, plus a few smallest subnormals
-            # where a product underflows; one product g_off . g_off bounds
-            # their sum for every row.  t*t underflows below 1e-154, where
-            # t^2 g_off may still be large, so a step below 1 takes t*(t*g_off):
-            # an underflow there, scaled by t < 1, adds at most a subnormal
-            g_off = float(rest.dot(rest)) + n * _TINY
-            t2g = np.where(ts < 1.0, ts * (ts * g_off), ts * ts * g_off)
-            w_hi = t2g * (1.0 + 8.0 * gamma) + 4 * n * _TINY
-            d = self.x_supp - a
-            self.u = (d * d).sum(axis=1).tolist()
-        self.scale, self.slack = 8.0 * gamma, (2.0 * w_hi + tol).tolist()
-        self.diff = np.zeros(n)
+            self.u = ((self.x_supp - a) ** 2).sum(axis=1).tolist()
+        self.diff = np.zeros(x.size)
 
     def step(self, i: int, t: float) -> tuple[np.ndarray, float, bool] | None:
         """Row i's projected values on S, its distance to x and its certificate.
@@ -381,30 +375,6 @@ class _SupportGrid:
         a_max = max(self.a_max[i], t * self.g_max)
         certified = np.count_nonzero(values) < self.s or _clears_margin(self.lo[i], self.off[i], a_max)
         return values, move, bool(certified)
-
-    def general(self, i: int, values: np.ndarray) -> bool | None:
-        """The ``general`` test of a moving row, decided from S, or None inside its band.
-
-        The n-wide test compares ``X = sum (x - a)^2`` with ``P = sum (p -
-        a)^2 + tol``.  Off S, x and p vanish, so both sums add the same terms
-        there, and ``X - P`` is ``U - V`` on S up to the rounding of the two
-        n-wide sums.  Where ``U - V`` lies farther from ``tol`` than the
-        band, the n-wide comparison must say the same.
-        """
-        if values.base is self.a:
-            # the projection returned its row, so p - a is an exact 0 on S
-            v = 0.0
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = values - self.a[i]
-                v = float(d.dot(d))
-        u = self.u[i]
-        band = self.scale * (u + v + self.slack[i])
-        if u - v > self.tol + band:
-            return False
-        if u - v < self.tol - band:
-            return True
-        return None
 
 
 def check_coordinatewise(obj, set_: SymmetricSet, s: int, x, t_grid, tol: float) -> bool:

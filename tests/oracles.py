@@ -162,7 +162,9 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
 
     Each step certifies the uniqueness of its projection, whether or not the
     step reads the certificate; a step that stays at ``x`` counts toward
-    strong only when certified, at every n.  The witness is the projection at
+    strong only when certified, at every n.  A step that moves fails general
+    when ``||x - a||^2 > ||p - a||^2 + tol``, both summed over the supports
+    of ``x`` and of its projection ``p``.  The witness is the projection at
     the largest grid step that moves the point and strictly lowers f, found by
     evaluating f at every moving step.  ``x`` must be feasible (not checked).
     """
@@ -184,7 +186,10 @@ def strong_stationary_on_grid(obj, set_, s, x, t_grid, tol):
                 strong = False
             continue
         strong = False
-        if float(np.sum((x - a) ** 2)) > float(np.sum((proj.point - a) ** 2)) + tol:
+        # off both supports x and the projection vanish, so the two squared
+        # distances to a differ only on their union
+        on = np.union1d(support_of(x), support_of(proj.point))
+        if float(np.sum((x[on] - a[on]) ** 2)) > float(np.sum((proj.point[on] - a[on]) ** 2)) + tol:
             general = False
         if obj.value(proj.point) < fx and t > witness_step:
             witness_step = t

@@ -22,18 +22,17 @@ from sparsepg import (
     make_rng,
     max_backtracks,
     minimize_support_gap,
-    npg_solve,
     pg_solve,
     project_sparse,
     support_gap,
     support_of,
 )
-from sparsepg.bench import NPG_SCHEDULE
+from sparsepg.bench import NPG_SCHEDULE, solve_instance
 from oracles import brute_force_project, gap_on_grid
 
 ALL_SETS = catalog()
 
-# (lipschitz, config, trace) for every nonmonotone run, audited by criterion 4
+# (instance, f_tol, max_iter, trace) for every nonmonotone run, audited by criterion 4
 _NPG_RUNS: list[tuple] = []
 # (objective, point, certificate) for every certificate, audited by criterion 9
 _CERTIFICATES: list[tuple] = []
@@ -44,27 +43,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def _run_npg(inst, f_tol, max_iter):
-    sched_m, sched_n, sched_q = NPG_SCHEDULE[inst.family]
-    config = benchmark_config(
-        inst.objective.lipschitz, sched_m, sched_n, sched_q, f_tol=f_tol, max_iter=max_iter
-    )
-    trace = npg_solve(inst.objective, inst.set_, inst.s, inst.x0, config)
-    _NPG_RUNS.append((inst.objective.lipschitz, config, trace))
-    _CERTIFICATES.append((inst.objective, trace.x_final, trace.certificate))
-    return config, trace
-
-
-def _run_pg(inst, f_tol=1e-8, max_iter=100_000):
-    trace = pg_solve(
-        inst.objective,
-        inst.set_,
-        inst.s,
-        inst.x0,
-        alpha=0.995 / inst.objective.lipschitz,
-        f_tol=f_tol,
-        max_iter=max_iter,
-    )
+def _solve(inst, method, f_tol=1e-8, max_iter=100_000):
+    """One solve with the benchmark's settings, recorded for criteria 4 and 9."""
+    trace = solve_instance(inst, method, 50, 1e-6, f_tol, max_iter)
+    if method == "npg":
+        _NPG_RUNS.append((inst, f_tol, max_iter, trace))
     _CERTIFICATES.append((inst.objective, trace.x_final, trace.certificate))
     return trace
 
@@ -75,10 +58,10 @@ def certificate_runs():
     out = []
     for seed in range(10):
         inst = gen_instance("cs-least-squares", 60, 256, 500 + seed, s=10, sigma=0.1)
-        out.append((inst, *_run_npg(inst, f_tol=1e-13, max_iter=30_000)))
+        out.append((inst, _solve(inst, "npg", f_tol=1e-13, max_iter=30_000)))
     for seed in range(10):
         inst = gen_instance("logistic", 100, 200, 700 + seed)
-        out.append((inst, *_run_npg(inst, f_tol=1e-13, max_iter=30_000)))
+        out.append((inst, _solve(inst, "npg", f_tol=1e-13, max_iter=30_000)))
     return out
 
 
@@ -87,9 +70,7 @@ def table1_runs():
     out = []
     for seed in range(10):
         inst = gen_instance("cs-least-squares", 120, 512, 1000 + seed, s=20, sigma=0.1)
-        pg = _run_pg(inst)
-        _, npg = _run_npg(inst, f_tol=1e-8, max_iter=100_000)
-        out.append((inst, pg, npg))
+        out.append((inst, _solve(inst, "pg"), _solve(inst, "npg")))
     return out
 
 
@@ -98,9 +79,7 @@ def table2_runs():
     out = []
     for seed in range(10):
         inst = gen_instance("logistic", 500, 1000, 2000 + seed)
-        pg = _run_pg(inst)
-        _, npg = _run_npg(inst, f_tol=1e-8, max_iter=100_000)
-        out.append((inst, pg, npg))
+        out.append((inst, _solve(inst, "pg"), _solve(inst, "npg")))
     return out
 
 
@@ -109,9 +88,7 @@ def table3_runs():
     out = []
     for seed in range(10):
         inst = gen_instance("simplex-least-squares", 100, 500, 3000 + seed)
-        pg = _run_pg(inst)
-        _, npg = _run_npg(inst, f_tol=1e-8, max_iter=100_000)
-        out.append((inst, pg, npg))
+        out.append((inst, _solve(inst, "pg"), _solve(inst, "npg")))
     return out
 
 
@@ -199,7 +176,11 @@ def test_criterion_04_backtracking_bound():
     table3_runs()
     total_records = 0
     bad = 0
-    for lipschitz, config, trace in _NPG_RUNS:
+    for inst, f_tol, max_iter, trace in _NPG_RUNS:
+        lipschitz = inst.objective.lipschitz
+        config = benchmark_config(
+            lipschitz, *NPG_SCHEDULE[inst.family], f_tol=f_tol, max_iter=max_iter
+        )
         bound = max_backtracks(lipschitz, config.c2, config.t_max, config.tau_shrink)
         t_floor = min(config.t_min, config.tau_shrink / (lipschitz + config.c2))
         for rec in trace.records:
@@ -219,8 +200,8 @@ def test_criterion_04_backtracking_bound():
 
 def test_criterion_05_strong_stationary_limits():
     runs = certificate_runs()
-    strong = sum(1 for _, _, trace in runs if trace.certificate.strong)
-    worst = max(trace.certificate.worst_violation for _, _, trace in runs)
+    strong = sum(1 for _, trace in runs if trace.certificate.strong)
+    worst = max(trace.certificate.worst_violation for _, trace in runs)
     _report(5, strong >= 19, f"{strong}/20 strong-stationary terminal points, worst fixed-point gap {worst:.2e}")
 
 

@@ -95,6 +95,10 @@ def test_config_validation():
     for override in bad:
         with pytest.raises(ValueError):
             SolverConfig(**{**good.__dict__, **override})
+    # an infinite t_max or c2 would overflow max_backtracks' floor
+    for name in ("t_max", "c2"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{**good.__dict__, name: math.inf})
 
 
 def test_config_lipschitz_coupling():

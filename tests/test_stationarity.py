@@ -598,21 +598,13 @@ def test_screened_certificate_falls_back_at_a_tied_step_only(wide_projections):
 
 @pytest.mark.parametrize("set_", ALL_SETS, ids=str)
 @pytest.mark.parametrize("model", [LeastSquares, Logistic])
-def test_screened_certificate_decides_general_on_the_support_clear_of_its_band(
-    set_, model, monkeypatch
-):
-    # one small step on S that moves x; tol is set to the difference U - V of
-    # the general sums on S, where the n-wide sums must decide, and 4 bands
-    # below and above it, where S alone decides; the band is 8 gamma_{n+2}
-    # (U + V + 2 t^2 |g_off|^2 + tol), gamma_k = k u / (1 - k u)
-    verdicts = []
-    general = stationarity._SupportGrid.general
-
-    def recorded(self, i, values):
-        verdicts.append(general(self, i, values))
-        return verdicts[-1]
-
-    monkeypatch.setattr(stationarity._SupportGrid, "general", recorded)
+def test_screened_certificate_decides_general_by_the_sums_on_the_support(set_, model):
+    # one small step on S that moves x, so general reads not U > V + tol with
+    # U and V the squared distances of x and p to the step, summed on S.  tol
+    # is U - V itself, where the verdict rests on the last bits of the sums,
+    # and U - V moved by 4 * 8 gamma_{n+2} (U + V + 2 t^2 |g_off|^2 + U - V),
+    # gamma_k = k u / (1 - k u), wider than the rounding of any sum of n
+    # terms, where it does not
     rng = make_rng(41)
     m, n, s = 12, 24, 4
     targets = rng.choice([-1.0, 1.0], m) if model is Logistic else rng.standard_normal(m)
@@ -633,32 +625,44 @@ def test_screened_certificate_decides_general_on_the_support_clear_of_its_band(
         v = float(np.sum((p - a)[supp] ** 2))
         g_off = np.delete(g, supp)
         gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
-        band = 8 * gamma * (u + v + 2 * t * t * float(g_off @ g_off) + (u - v))
-        assert 0 < 4 * band < u - v < np.linalg.norm(p - x)
-        for tol, verdict in [(u - v, None), (u - v + 4 * band, True), (u - v - 4 * band, False)]:
-            verdicts.clear()
+        margin = 4 * 8 * gamma * (u + v + 2 * t * t * float(g_off @ g_off) + (u - v))
+        assert 0 < margin < u - v < np.linalg.norm(p - x)
+        for tol in (u - v, u - v + margin, u - v - margin):
             report = check_strong_stationary(obj, set_, s, x, [t], tol)
-            assert verdicts == [verdict]
-            if verdict is not None:
-                assert report.general is verdict
+            assert report.general is (not u > v + tol)
             assert_same_report(report, strong_stationary_on_grid(obj, set_, s, x, [t], tol))
             public = check_strong_stationary(PublicProtocol(obj), set_, s, x, [t], tol)
             assert_same_report(report, public)
 
 
-@pytest.mark.parametrize("t", [1e-160, 1e-162, 1e-163])
-def test_screened_certificate_bounds_the_off_support_sum_at_a_tiny_step(t):
-    # t*t is subnormal or 0 here, while t*g_j is about 1e-10 off S, so the
-    # off-support sum W is about 2e-20 and U on S, about 2e-38, lies far
-    # below the last bit of W: the n-wide sums tie and general holds.  The
-    # bound on W must not underflow with t*t, or the band misses W and S
-    # alone says general fails
-    x = np.array([1e-4, 1e-4, 0.0, 0.0])
-    obj = quadratic([1e-4 - 1e144, 1e-4 - 1e144, -1e153, -1e153])
-    report = check_strong_stationary(obj, full_space(), 2, x, [t], 0.0)
-    assert report.general and report.worst_violation > 0.0
-    assert_same_report(report, strong_stationary_on_grid(obj, full_space(), 2, x, [t], 0.0))
-    public = check_strong_stationary(PublicProtocol(obj), full_space(), 2, x, [t], 0.0)
+@pytest.mark.parametrize(
+    "n, x_supp, center_supp, center_off, t, tol",
+    [
+        # t*t is subnormal or 0 here, while t*g_j is about 1e-10 off S, so U on
+        # S, about 2e-38, lies far below the last bit of the off-support sum,
+        # about 2e-20, which n-wide sums would add to both sides and tie
+        (4, 1e-4, 1e-4 - 1e144, -1e153, 1e-160, 0.0),
+        (4, 1e-4, 1e-4 - 1e144, -1e153, 1e-162, 0.0),
+        (4, 1e-4, 1e-4 - 1e144, -1e153, 1e-163, 0.0),
+        # U on S is 2e-6, above tol, below the last bit of the off-support
+        # sum, 6.2e11
+        (64, 1e7, 1e7 - 1, -1e8, 1e-3, 1e-6),
+    ],
+)
+def test_screened_certificate_bounds_the_off_support_sum_at_a_tiny_step(
+    n, x_supp, center_supp, center_off, t, tol
+):
+    # the step moves x to p = a on S, so V = 0 and U - V > tol: general fails,
+    # however large the terms off S that both distances share
+    x = np.zeros(n)
+    x[:2] = x_supp
+    center = np.full(n, center_off)
+    center[:2] = center_supp
+    obj = quadratic(center)
+    report = check_strong_stationary(obj, full_space(), 2, x, [t], tol)
+    assert report.general is False and report.worst_violation > tol
+    assert_same_report(report, strong_stationary_on_grid(obj, full_space(), 2, x, [t], tol))
+    public = check_strong_stationary(PublicProtocol(obj), full_space(), 2, x, [t], tol)
     assert_same_report(report, public)
 
 
